@@ -54,6 +54,10 @@ PhaseSnapshot.__doc__ = (
     "SimulationResult.legit_ids."
 )
 
+# one instant-log entry: the tick, the post-instant offsets phase - phase_tick of
+# the legitimate oscillators, and the (kind, node) of its non-delivery records
+Instant = namedtuple("Instant", "tick offsets events")
+
 
 class EngineError(Exception):
     """Simulation kernel invariant violation (e.g. runaway cascade)."""
@@ -77,7 +81,6 @@ class OscillatorState:
     receive_log: deque = field(default_factory=deque)
     last_fire_tick: int | None = None
     last_reset_to_zero_tick: int | None = None
-    started_at_tick: int = 0
     wrap_gen: int = 0  # bumps on every reschedule; stale queue entries are skipped
 
     def phase_at(self, now: int) -> int:
@@ -99,15 +102,14 @@ def receive_count(
     later same-instant pulses, i.e. it restricts the count to pulses received
     strictly before the current one.
     """
+    top = hi if hi_closed else hi - 1
+    bottom = lo if lo_closed else lo + 1
     n = 0
-    for t, s in reversed(state.receive_log):
-        if t > hi or (t == hi and not hi_closed):
-            continue
-        if t < lo or (t == lo and not lo_closed):
+    for t, s in reversed(state.receive_log):  # newest first; ticks never decrease
+        if t < bottom:
             break
-        if before_seq is not None and s >= before_seq:
-            continue
-        n += 1
+        if t <= top and (before_seq is None or s < before_seq):
+            n += 1
     return n
 
 
@@ -121,15 +123,64 @@ def next_wrap_tick(state: OscillatorState, now: int, ticks_per_period: int) -> i
 
 @dataclass
 class SimulationResult:
+    """A completed run, kept as its instant log: one :class:`Instant` per
+    resolved tick, or the bare tick of a pop that found only stale wraps.
+    ``records`` and ``snapshots`` are derived from it on every access.
+    """
+
     clock: TickClock
     legit_ids: tuple[int, ...]
     attacker_ids: tuple[int, ...]
-    records: list
-    snapshots: list
+    adjacency: tuple[tuple[int, ...], ...]
+    horizon: int
+    initial_offsets: tuple[int, ...]
+    final_offsets: tuple[int, ...]
+    instants: list
     states: dict
 
-    def final_phases(self) -> tuple[int, ...]:
-        return self.snapshots[-1].phases
+    def iter_records(self):
+        """Log records in order; each ``fired`` is followed by one ``received`` per out-neighbor."""
+        adjacency = self.adjacency
+        seq = 0
+        for entry in self.instants:
+            if type(entry) is int:
+                continue
+            t = entry.tick
+            for kind, node in entry.events:
+                yield LogRecord(t, kind, node, None, None)
+                if kind == FIRED:
+                    for r in adjacency[node]:
+                        seq += 1
+                        yield LogRecord(t, RECEIVED, r, node, seq)
+
+    @property
+    def records(self) -> list:
+        return list(self.iter_records())
+
+    def rows(self):
+        """(tick, offsets) per snapshot row: every instant, every 1/100 period, the horizon.
+
+        Between instants all phases advance alike, so cadence rows repeat the last offsets.
+        """
+        cadence = max(1, self.clock.ticks_per_period // 100)
+        offsets = self.initial_offsets
+        t = -1
+        due = 0  # next cadence tick without a row
+        for entry in self.instants:
+            t, new = (entry, offsets) if type(entry) is int else entry[:2]
+            for row in range(due, t, cadence):
+                yield row, offsets
+            offsets = new
+            yield t, offsets
+            due = (t // cadence + 1) * cadence
+        if t < self.horizon:
+            for row in range(due, self.horizon, cadence):
+                yield row, offsets
+            yield self.horizon, offsets
+
+    @property
+    def snapshots(self) -> list:
+        return [PhaseSnapshot(t, tuple(o + t for o in offsets)) for t, offsets in self.rows()]
 
 
 class Simulation:
@@ -194,68 +245,65 @@ class Simulation:
                     queue.append((t, _PRIO_ATTACK, a, 0))
         heapq.heapify(queue)
 
-        records: list = []
-        snapshots: list = []
+        initial = tuple(self.initial_phases[i] for i in self.legit_ids)
         self._states = states
+        self._legit_states = [states[i] for i in self.legit_ids]
         self._queue = queue
-        self._records = records
+        self._log = []
+        self._offsets = initial
         self._seq = 0
         self._cascade_cap = self.topology.n * self.topology.n
 
-        # snapshot at a fixed cadence, at every instant with activity, and at
-        # the horizon, so traces capture cascade discontinuities
-        cadence = max(1, tpp // 100)
-        snap_ticks = list(range(0, self.horizon + 1, cadence))
-        if snap_ticks[-1] != self.horizon:
-            snap_ticks.append(self.horizon)
-        si = 0
-        while si < len(snap_ticks) or (queue and queue[0][0] <= self.horizon):
-            next_event = queue[0][0] if queue and queue[0][0] <= self.horizon else None
-            next_snap = snap_ticks[si] if si < len(snap_ticks) else None
-            if next_event is not None and (next_snap is None or next_event <= next_snap):
-                self._resolve_instant(next_event)
-                snapshots.append(self._snapshot(next_event))
-                if next_snap == next_event:
-                    si += 1
-            else:
-                snapshots.append(self._snapshot(next_snap))
-                si += 1
+        horizon = self.horizon
+        while queue and queue[0][0] <= horizon:
+            self._resolve_instant(queue[0][0])
 
         return SimulationResult(
             clock=self.clock,
             legit_ids=self.legit_ids,
             attacker_ids=self.attacker_ids,
-            records=records,
-            snapshots=snapshots,
+            adjacency=self.topology.adjacency,
+            horizon=horizon,
+            initial_offsets=initial,
+            final_offsets=self._offsets,
+            instants=self._log,
             states=states,
         )
 
     # -- instant resolution ------------------------------------------------
 
     def _resolve_instant(self, t: int) -> None:
-        """Drain every event scheduled at tick t and cascade to a fixpoint."""
+        """Drain every event scheduled at tick t, cascade to a fixpoint and log the instant."""
         queue = self._queue
         states = self._states
-        records = self._records
+        mechanisms = self.mechanisms
         adjacency = self.topology.adjacency
         tpp = self.clock.ticks_per_period
         attacker_set = self._attacker_set
-        pending: deque = deque()
+        pending: list = []  # (receiver, seq) in emission order
         at_top: set[int] = set()
+        events: list = []
+        seq = first_seq = self._seq
+        cap = self._cascade_cap
 
         def emit(sender: int) -> None:
-            for r in adjacency[sender]:
-                self._seq += 1
-                records.append(LogRecord(t, RECEIVED, r, sender, self._seq))
-                pending.append((r, self._seq))
+            nonlocal seq
+            targets = adjacency[sender]
+            if seq + len(targets) - first_seq > cap:
+                raise EngineError(
+                    f"same-instant cascade at tick {t} exceeded {cap} deliveries; "
+                    "mechanism rules are not suppressing repeated fires"
+                )
+            pending.extend(zip(targets, range(seq + 1, seq + 1 + len(targets))))
+            seq += len(targets)
 
         def reach_top(i: int) -> None:
             st = states[i]
             st.phase = tpp
             st.phase_tick = t
             st.wrap_gen += 1  # any scheduled wrap is now stale
-            if self.mechanisms[i].on_reach_top(st, t).fire:
-                records.append(LogRecord(t, FIRED, i, None, None))
+            if mechanisms[i].on_reach_top(st, t).fire:
+                events.append((FIRED, i))
                 st.last_fire_tick = t
                 emit(i)
             at_top.add(i)
@@ -264,7 +312,7 @@ class Simulation:
         while queue and queue[0][0] == t:
             _, prio, node, gen = heapq.heappop(queue)
             if prio == _PRIO_ATTACK:
-                records.append(LogRecord(t, FIRED, node, None, None))
+                events.append((FIRED, node))
                 emit(node)
             elif gen == states[node].wrap_gen:
                 st = states[node]
@@ -272,35 +320,28 @@ class Simulation:
                     raise EngineError(f"wrap event for {node} at {t} does not land on the cycle top")
                 reach_top(node)
 
-        # 2) process deliveries in emission order; shifts re-enter reach_top
-        steps = 0
+        # 2) process deliveries in emission order; shifts re-enter reach_top,
+        # and a list iterator also visits what emit appends during the loop
         half = tpp // 2
-        while pending:
-            r, seq = pending.popleft()
-            steps += 1
-            if steps > self._cascade_cap:
-                raise EngineError(
-                    f"same-instant cascade at tick {t} exceeded {self._cascade_cap} deliveries; "
-                    "mechanism rules are not suppressing repeated fires"
-                )
+        cutoff = t - half
+        for r, s in pending:
             if r in attacker_set:
                 continue  # compromised nodes ignore everything they receive
             st = states[r]
             log = st.receive_log
-            log.append((t, seq))
-            cutoff = t - half
+            log.append((t, s))
             while log[0][0] < cutoff:
                 log.popleft()
             if r in at_top:
                 continue  # already at the cycle top; the pulse still counts
             st.phase = st.phase_at(t)
             st.phase_tick = t
-            action = self.mechanisms[r].on_pulse(st, t, seq)
+            action = mechanisms[r].on_pulse(st, t, s)
             kind = action.kind
             if kind == "ignore":
                 continue
             if kind == "shift":
-                records.append(LogRecord(t, SHIFTED_TO_2PI, r, None, None))
+                events.append((SHIFTED_TO_2PI, r))
                 reach_top(r)
             elif kind == "jump":
                 new_phase = action.jump_to
@@ -318,18 +359,24 @@ class Simulation:
         # 3) instant settled: oscillators parked at the top pick their reset
         for i in sorted(at_top):
             st = states[i]
-            target = self.mechanisms[i].on_reach_top(st, t).reset_to
+            target = mechanisms[i].on_reach_top(st, t).reset_to
             if target == "zero":
                 st.phase = 0
                 st.last_reset_to_zero_tick = t
-                records.append(LogRecord(t, RESET_TO_ZERO, i, None, None))
+                events.append((RESET_TO_ZERO, i))
             else:
                 st.phase = half
-                records.append(LogRecord(t, RESET_TO_PI, i, None, None))
+                events.append((RESET_TO_PI, i))
             st.phase_tick = t
             st.wrap_gen += 1
             heapq.heappush(queue, (t + tpp - st.phase, _PRIO_WRAP, i, st.wrap_gen))
 
-    def _snapshot(self, t: int):
-        states = self._states
-        return PhaseSnapshot(t, tuple(states[i].phase_at(t) for i in self.legit_ids))
+        self._seq = seq
+        if not events:
+            self._log.append(t)  # only stale wraps popped: nothing changed
+            return
+        offsets = tuple(st.phase - st.phase_tick for st in self._legit_states)
+        if offsets == self._offsets:
+            offsets = self._offsets  # nothing moved: share the previous tuple
+        self._offsets = offsets
+        self._log.append(Instant(t, offsets, events))

@@ -146,7 +146,7 @@ class QuorumMechanism:
     def on_reach_top(self, state: OscillatorState, now: int) -> TopAction:
         fire = (
             state.last_fire_tick is None or state.last_fire_tick <= now - self.eps
-        ) and now >= state.started_at_tick + self.period
+        ) and now >= self.period
         zero = receive_count(state, now - self.eps, now) > self.reset_over
         return TopAction(fire=fire, reset_to=RESET_ZERO if zero else RESET_PI)
 

@@ -42,6 +42,17 @@ def arc_trace(result: SimulationResult) -> list:
     return [(s.tick, containing_arc_ticks(s.phases, tpp)) for s in result.snapshots]
 
 
+def _tally(events, legit_set) -> tuple[int, int]:
+    """(legitimate fires, resets to zero) among one instant's events."""
+    fires = resets = 0
+    for kind, node in events:
+        if kind == FIRED:
+            fires += node in legit_set
+        elif kind == RESET_TO_ZERO:
+            resets += 1
+    return fires, resets
+
+
 def detect_sync(result: SimulationResult) -> int | None:
     """Earliest tick after which the legitimate population is exactly synchronized.
 
@@ -50,52 +61,41 @@ def detect_sync(result: SimulationResult) -> int | None:
     legitimate firing must happen jointly, at instants spaced exactly one
     period apart. A single-oscillator network is synchronized at its first
     reset to zero by convention.
-    """
-    legit = result.legit_ids
-    n_legit = len(legit)
-    legit_set = set(legit)
 
-    resets: dict[int, int] = {}
-    fires: dict[int, int] = {}
-    for rec in result.records:
-        if rec.kind == RESET_TO_ZERO:
-            resets[rec.tick] = resets.get(rec.tick, 0) + 1
-        elif rec.kind == FIRED and rec.node in legit_set:
-            fires[rec.tick] = fires.get(rec.tick, 0) + 1
+    Each condition holding at a tick holds at every later one, so a backward
+    pass stops at the last nonzero arc, non-joint fire or off-period gap.
+    """
+    legit_set = set(result.legit_ids)
+    n_legit = len(legit_set)
+    instants = [e for e in result.instants if type(e) is not int]  # stale pops change nothing
 
     if n_legit == 1:
-        return min(resets) if resets else None
+        return next((e.tick for e in instants if _tally(e.events, legit_set)[1]), None)
 
-    candidates = sorted(t for t, c in resets.items() if c == n_legit)
-    if not candidates:
-        return None
-    fire_ticks = sorted(fires)
     tpp = result.clock.ticks_per_period
-    for t_sync in candidates:
-        ok = True
-        for snap in result.snapshots:
-            if snap.tick >= t_sync and min(snap.phases) != max(snap.phases):
-                ok = False
+    sync = next_fire = None
+    for entry in reversed(instants):
+        offsets = entry.offsets
+        if min(offsets) != max(offsets):
+            break
+        fires, resets = _tally(entry.events, legit_set)
+        if resets == n_legit:
+            sync = entry.tick
+        if fires:
+            if fires != n_legit or (next_fire is not None and next_fire - entry.tick != tpp):
                 break
-        if not ok:
-            continue
-        later = [t for t in fire_ticks if t > t_sync]
-        if any(fires[t] != n_legit for t in later):
-            continue
-        if any(b - a != tpp for a, b in zip(later, later[1:])):
-            continue
-        return t_sync
-    return None
+            next_fire = entry.tick
+    return sync
 
 
 def common_fire_ticks(result: SimulationResult, after: int = -1) -> list[int]:
     """Ticks strictly after `after` at which every legitimate oscillator fired."""
     legit_set = set(result.legit_ids)
-    counts: dict[int, int] = {}
-    for rec in result.records:
-        if rec.kind == FIRED and rec.node in legit_set and rec.tick > after:
-            counts[rec.tick] = counts.get(rec.tick, 0) + 1
-    return sorted(t for t, c in counts.items() if c == len(legit_set))
+    return [
+        e.tick for e in result.instants
+        if type(e) is not int and e.tick > after
+        and _tally(e.events, legit_set)[0] == len(legit_set)
+    ]
 
 
 def collective_period(result: SimulationResult, after: int | None) -> list[int]:
@@ -174,18 +174,14 @@ def summarize_run(
     clock = result.clock
     tpp = clock.ticks_per_period
     sync_tick = detect_sync(result)
-    if sync_tick is not None:
-        periods = collective_period(result, sync_tick)
-        periods_exact = all(g == tpp for g in periods) if periods else None
-    else:
-        # no synchronization: record whatever joint firing rhythm exists
-        ticks = common_fire_ticks(result)
-        periods = [b - a for a, b in zip(ticks, ticks[1:])]
-        periods_exact = None
+    # joint-fire gaps after synchronization; without it, whatever joint rhythm exists
+    ticks = common_fire_ticks(result, -1 if sync_tick is None else sync_tick)
+    periods = [b - a for a, b in zip(ticks, ticks[1:])]
+    periods_exact = all(g == tpp for g in periods) if sync_tick is not None and periods else None
     trace = None
     if include_arc_trace:
         trace = [(t, a / tpp * TWO_PI) for t, a in arc_trace(result)]
-    final_arc = containing_arc(result.final_phases(), clock)
+    final_arc = containing_arc(result.final_offsets, clock)
     return RunSummary(
         seed=seed,
         config_digest=config_digest,

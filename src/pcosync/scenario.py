@@ -2,9 +2,10 @@
 
 A scenario is a JSON document describing the clock, the topology, the
 mechanism, the attacker set with its traffic spec, the initial phases, the
-horizon and the seed. Parsing produces a validated ``ScenarioConfig``; its
-canonical form (defaults resolved, keys ordered) feeds both the config
-digest and the sweep workers, so a run is reproducible from its digest
+horizon and the seed. Parsing produces a validated ``ScenarioConfig`` that
+carries its built topology; its canonical form (defaults resolved, keys
+ordered) feeds the config digest, and sweep workers get the parsed base
+with only the seed replaced, so a run is reproducible from its digest
 inputs alone.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from random import Random
 from statistics import median_low
 
@@ -38,6 +39,7 @@ class ConfigError(ValueError):
 class ScenarioConfig:
     clock: TickClock
     topology_desc: dict
+    topology: Topology = field(compare=False, repr=False)  # built from topology_desc
     mechanism_kind: str
     coupling: float | None
     n_known: int | None
@@ -169,6 +171,7 @@ def parse_scenario(data: dict) -> ScenarioConfig:
     return ScenarioConfig(
         clock=clock,
         topology_desc=topo_desc,
+        topology=topo,
         mechanism_kind=kind,
         coupling=coupling,
         n_known=n_known,
@@ -276,21 +279,21 @@ def draw_initial_phases(config: ScenarioConfig, legit_ids) -> dict:
 @dataclass
 class RunArtifacts:
     config: ScenarioConfig
-    topology: Topology
     conditions: ConditionReport | None
     result: SimulationResult
     summary: RunSummary
 
 
-def conditions_for(config: ScenarioConfig, topo: Topology) -> ConditionReport | None:
+def conditions_for(config: ScenarioConfig) -> ConditionReport | None:
     if config.mechanism_kind == mechanisms.KIND_CONVENTIONAL:
         return None
-    return topo_mod.check_sync_conditions(topo, config.mechanism_kind, len(config.attacker_ids))
+    return topo_mod.check_sync_conditions(
+        config.topology, config.mechanism_kind, len(config.attacker_ids))
 
 
 def build_simulation(config: ScenarioConfig):
-    """Materialize topology, mechanisms, schedules and phases for one run."""
-    topo = topo_mod.load_topology(config.topology_desc)
+    """Materialize mechanisms, schedules and phases for one run."""
+    topo = config.topology
     attacker_set = set(config.attacker_ids)
     legit_ids = [i for i in range(topo.n) if i not in attacker_set]
     mechs = {}
@@ -317,13 +320,13 @@ def build_simulation(config: ScenarioConfig):
         attacker_ids=config.attacker_ids,
         schedules={s.attacker: s.ticks for s in schedules},
     )
-    return sim, topo, phases, schedules
+    return sim, phases, schedules
 
 
 def run_scenario(config: ScenarioConfig, *, include_arc_trace: bool | None = None) -> RunArtifacts:
-    sim, topo, phases, schedules = build_simulation(config)
+    sim, phases, schedules = build_simulation(config)
     result = sim.run()
-    conditions = conditions_for(config, topo)
+    conditions = conditions_for(config)
     if include_arc_trace is None:
         include_arc_trace = config.arc_trace_in_summary
     summary = summarize_run(
@@ -337,8 +340,7 @@ def run_scenario(config: ScenarioConfig, *, include_arc_trace: bool | None = Non
         horizon=config.horizon_ticks,
         include_arc_trace=include_arc_trace,
     )
-    return RunArtifacts(config=config, topology=topo, conditions=conditions,
-                        result=result, summary=summary)
+    return RunArtifacts(config=config, conditions=conditions, result=result, summary=summary)
 
 
 # -- sweeps ----------------------------------------------------------------
@@ -362,6 +364,7 @@ def parse_sweep(data: dict) -> SweepConfig:
     runs = int(data.get("runs", 1))
     _require(runs >= 1, "sweep needs runs >= 1")
     seed_base = int(data.get("seed_base", base.seed))
+    _require(seed_base >= 0, "seed_base must be a nonnegative integer")
     workers = int(data.get("workers", 1))
     _require(workers >= 1, "workers must be >= 1")
     return SweepConfig(
@@ -374,15 +377,11 @@ def parse_sweep(data: dict) -> SweepConfig:
 
 
 def with_seed(base: ScenarioConfig, seed: int) -> ScenarioConfig:
-    data = canonical_dict(base)
-    data["seed"] = seed
-    return parse_scenario(data)
+    return replace(base, seed=seed)
 
 
-def _sweep_worker(base_data: dict, seed: int) -> dict:
-    data = dict(base_data)
-    data["seed"] = seed
-    return run_scenario(parse_scenario(data)).summary.to_dict()
+def _sweep_worker(base: ScenarioConfig, seed: int) -> dict:
+    return run_scenario(with_seed(base, seed)).summary.to_dict()
 
 
 def run_sweep(sweep: SweepConfig) -> tuple[dict, list[dict]]:
@@ -392,13 +391,13 @@ def run_sweep(sweep: SweepConfig) -> tuple[dict, list[dict]]:
     identical bytes regardless of worker count.
     """
     seeds = [sweep.seed_base + k for k in range(sweep.runs)]
-    base_data = canonical_dict(sweep.base)
+    base = sweep.base
     if sweep.workers == 1:
-        summaries = [_sweep_worker(base_data, s) for s in seeds]
+        summaries = [_sweep_worker(base, s) for s in seeds]
     else:
         with ProcessPoolExecutor(max_workers=sweep.workers) as pool:
             chunk = max(1, len(seeds) // (sweep.workers * 4))
-            summaries = list(pool.map(_sweep_worker, [base_data] * len(seeds), seeds,
+            summaries = list(pool.map(_sweep_worker, [base] * len(seeds), seeds,
                                       chunksize=chunk))
 
     synced = [s for s in summaries if s["sync_tick"] is not None]

@@ -282,3 +282,16 @@ def test_simulation_input_validation():
     with pytest.raises(ValueError):
         Simulation(CLOCK, topo, {0: mech, 1: mech}, {0: 0, 1: 0}, horizon=TPP,
                    schedules={0: (5,)})  # schedule for a non-attacker
+
+
+def test_same_instant_delivery_cap():
+    # a schedule that repeats one tick (the adversary module would reject it)
+    # floods one instant; more than n*n deliveries stop the run
+    from pcosync.engine import EngineError
+
+    topo = from_adjacency([[1], [0]])
+    at_cap = quorum_n_sim(topo, {0: 0}, horizon=TPP, attacker_ids=(1,), schedules={1: (10,) * 4})
+    assert [r.seq for r in records_of(at_cap.run(), RECEIVED) if r.tick == 10] == [1, 2, 3, 4]
+    over = quorum_n_sim(topo, {0: 0}, horizon=TPP, attacker_ids=(1,), schedules={1: (10,) * 5})
+    with pytest.raises(EngineError, match="exceeded 4 deliveries"):
+        over.run()
