@@ -7,18 +7,20 @@ advances. The kernel fixes a total order over all same-instant work
 (attacker pulses, then phase wraps, by node index; deliveries in global
 emission order) so a run is a pure function of its inputs.
 
-Mechanism objects plugged into the kernel expose two pure decision
+Mechanism objects plugged into the kernel expose three pure decision
 functions::
 
-    on_reach_top(state, now) -> TopAction(fire: bool, reset_to: "zero"|"pi")
+    fires(state, now) -> bool
+    on_reach_top(state, now) -> "zero" | "pi"
     on_pulse(state, now, current_seq) -> action with .kind in
         {"ignore", "shift", "jump"} (jump carries .jump_to ticks)
 
-The kernel consults ``.fire`` the moment an oscillator's phase reaches the
-top of the cycle (so fire suppression applies mid-cascade) and ``.reset_to``
-once the instant has settled, when the full set of same-instant pulses is in
-the receive log. Both calls see the same pure function, only different
-state.
+The kernel calls ``fires`` once, the moment an oscillator's phase reaches the
+top of the cycle (so fire suppression applies mid-cascade), and
+``on_reach_top`` once, after the instant has settled, when the full set of
+same-instant pulses is in the receive log. An oscillator parked at the top
+ignores pulses but still counts them, so a pulse sent to it is added to its
+receive log when it is emitted instead of being queued.
 """
 
 from __future__ import annotations
@@ -69,8 +71,9 @@ class OscillatorState:
 
     ``phase`` is the phase in ticks at reference time ``phase_tick``; between
     events the phase advances one tick per tick. ``receive_log`` holds
-    (tick, seq) pairs for processed pulses, pruned to the trailing half
-    period (the widest counting window any rule uses); the scalar
+    (tick, seq) pairs for received pulses, ticks non-decreasing (same-tick
+    pairs need not be in seq order), pruned to the trailing half period
+    (the widest counting window any rule uses); the scalar
     ``last_reset_to_zero_tick`` survives pruning because one rule looks a
     full period back.
     """
@@ -82,9 +85,6 @@ class OscillatorState:
     last_fire_tick: int | None = None
     last_reset_to_zero_tick: int | None = None
     wrap_gen: int = 0  # bumps on every reschedule; stale queue entries are skipped
-
-    def phase_at(self, now: int) -> int:
-        return self.phase + (now - self.phase_tick)
 
 
 def receive_count(
@@ -115,7 +115,7 @@ def receive_count(
 
 def next_wrap_tick(state: OscillatorState, now: int, ticks_per_period: int) -> int:
     """Tick at which the phase will reach the top of the cycle by free evolution."""
-    phase = state.phase_at(now)
+    phase = state.phase + (now - state.phase_tick)
     if phase >= ticks_per_period:
         raise ValueError("phase already at the top of the cycle")
     return now + (ticks_per_period - phase)
@@ -228,7 +228,6 @@ class Simulation:
             raise ValueError("schedule present for a non-attacker id")
         self.mechanisms = dict(mechanisms)
         self.initial_phases = dict(initial_phases)
-        self._attacker_set = attacker_set
 
     def run(self) -> SimulationResult:
         tpp = self.clock.ticks_per_period
@@ -279,7 +278,6 @@ class Simulation:
         mechanisms = self.mechanisms
         adjacency = self.topology.adjacency
         tpp = self.clock.ticks_per_period
-        attacker_set = self._attacker_set
         pending: list = []  # (receiver, seq) in emission order
         at_top: set[int] = set()
         events: list = []
@@ -287,6 +285,8 @@ class Simulation:
         cap = self._cascade_cap
 
         def emit(sender: int) -> None:
+            # parked receivers only count the pulse and attackers ignore it,
+            # so only pulses that may move a phase are queued
             nonlocal seq
             targets = adjacency[sender]
             if seq + len(targets) - first_seq > cap:
@@ -294,47 +294,57 @@ class Simulation:
                     f"same-instant cascade at tick {t} exceeded {cap} deliveries; "
                     "mechanism rules are not suppressing repeated fires"
                 )
-            pending.extend(zip(targets, range(seq + 1, seq + 1 + len(targets))))
-            seq += len(targets)
+            for r in targets:
+                seq += 1
+                if r in at_top:
+                    states[r].receive_log.append((t, seq))
+                elif r in states:
+                    pending.append((r, seq))
 
-        def reach_top(i: int) -> None:
+        def park(i: int) -> bool:
+            """Put oscillator i at the cycle top; True if it fires."""
             st = states[i]
             st.phase = tpp
             st.phase_tick = t
             st.wrap_gen += 1  # any scheduled wrap is now stale
-            if mechanisms[i].on_reach_top(st, t).fire:
+            at_top.add(i)
+            if mechanisms[i].fires(st, t):
                 events.append((FIRED, i))
                 st.last_fire_tick = t
-                emit(i)
-            at_top.add(i)
+                return True
+            return False
 
-        # 1) pop everything scheduled at t: attacker pulses first, then wraps
+        # 1) pop everything scheduled at t (attacker pulses first, then wraps),
+        # then emit in pop order: every same-instant wrap is parked before any
+        # pulse is routed, and fire decisions never read the receive log
+        senders = []
         while queue and queue[0][0] == t:
             _, prio, node, gen = heapq.heappop(queue)
             if prio == _PRIO_ATTACK:
                 events.append((FIRED, node))
-                emit(node)
+                senders.append(node)
             elif gen == states[node].wrap_gen:
                 st = states[node]
-                if st.phase_at(t) != tpp:
+                if st.phase + (t - st.phase_tick) != tpp:
                     raise EngineError(f"wrap event for {node} at {t} does not land on the cycle top")
-                reach_top(node)
+                if park(node):
+                    senders.append(node)
+        for node in senders:
+            emit(node)
 
-        # 2) process deliveries in emission order; shifts re-enter reach_top,
-        # and a list iterator also visits what emit appends during the loop
+        # 2) process queued deliveries in emission order; shifts park and may
+        # emit, and a list iterator also visits what emit appends during the loop
         half = tpp // 2
         cutoff = t - half
         for r, s in pending:
-            if r in attacker_set:
-                continue  # compromised nodes ignore everything they receive
             st = states[r]
             log = st.receive_log
             log.append((t, s))
+            if r in at_top:
+                continue  # parked after this pulse was queued; the pulse still counts
             while log[0][0] < cutoff:
                 log.popleft()
-            if r in at_top:
-                continue  # already at the cycle top; the pulse still counts
-            st.phase = st.phase_at(t)
+            st.phase += t - st.phase_tick
             st.phase_tick = t
             action = mechanisms[r].on_pulse(st, t, s)
             kind = action.kind
@@ -342,25 +352,29 @@ class Simulation:
                 continue
             if kind == "shift":
                 events.append((SHIFTED_TO_2PI, r))
-                reach_top(r)
             elif kind == "jump":
                 new_phase = action.jump_to
                 if new_phase == st.phase:
                     continue
                 st.phase = new_phase
-                if new_phase == tpp:
-                    reach_top(r)
-                else:
+                if new_phase != tpp:
                     st.wrap_gen += 1
                     heapq.heappush(queue, (t + tpp - new_phase, _PRIO_WRAP, r, st.wrap_gen))
+                    continue
             else:
                 raise EngineError(f"mechanism returned unknown pulse action {kind!r}")
+            if park(r):
+                emit(r)
 
-        # 3) instant settled: oscillators parked at the top pick their reset
+        # 3) instant settled: oscillators parked at the top pick their reset;
+        # logs that took pulses this instant are pruned to the trailing half period
         for i in sorted(at_top):
             st = states[i]
-            target = mechanisms[i].on_reach_top(st, t).reset_to
-            if target == "zero":
+            log = st.receive_log
+            if log and log[-1][0] == t:
+                while log[0][0] < cutoff:
+                    log.popleft()
+            if mechanisms[i].on_reach_top(st, t) == "zero":
                 st.phase = 0
                 st.last_reset_to_zero_tick = t
                 events.append((RESET_TO_ZERO, i))
@@ -375,7 +389,7 @@ class Simulation:
         if not events:
             self._log.append(t)  # only stale wraps popped: nothing changed
             return
-        offsets = tuple(st.phase - st.phase_tick for st in self._legit_states)
+        offsets = tuple([st.phase - st.phase_tick for st in self._legit_states])
         if offsets == self._offsets:
             offsets = self._offsets  # nothing moved: share the previous tuple
         self._offsets = offsets

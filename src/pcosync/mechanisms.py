@@ -26,22 +26,13 @@ from dataclasses import dataclass
 
 from .core import TWO_PI, TickClock
 from .engine import OscillatorState, receive_count
+from .topology import KIND_QUORUM_DEGREE, KIND_QUORUM_N
 
 KIND_CONVENTIONAL = "conventional"
-KIND_QUORUM_N = "quorum_n"
-KIND_QUORUM_DEGREE = "quorum_degree"
 MECHANISM_KINDS = (KIND_CONVENTIONAL, KIND_QUORUM_N, KIND_QUORUM_DEGREE)
 
 RESET_ZERO = "zero"
 RESET_PI = "pi"
-
-
-@dataclass(frozen=True)
-class TopAction:
-    """Decision taken when the phase reaches the top of the cycle."""
-
-    fire: bool
-    reset_to: str  # RESET_ZERO or RESET_PI
 
 
 @dataclass(frozen=True)
@@ -120,8 +111,11 @@ class ConventionalPrf:
         self.coupling = config.coupling
         self.ticks_per_period = config.clock.ticks_per_period
 
-    def on_reach_top(self, state: OscillatorState, now: int) -> TopAction:
-        return TopAction(fire=True, reset_to=RESET_ZERO)
+    def fires(self, state: OscillatorState, now: int) -> bool:
+        return True
+
+    def on_reach_top(self, state: OscillatorState, now: int) -> str:
+        return RESET_ZERO
 
     def on_pulse(self, state: OscillatorState, now: int, current_seq: int) -> PulseAction:
         return jump_to(apply_conventional_jump(state.phase, self.coupling, self.ticks_per_period))
@@ -143,12 +137,16 @@ class QuorumMechanism:
         self.period = clock.ticks_per_period
         self.half = clock.ticks_per_period // 2
 
-    def on_reach_top(self, state: OscillatorState, now: int) -> TopAction:
-        fire = (
-            state.last_fire_tick is None or state.last_fire_tick <= now - self.eps
-        ) and now >= self.period
-        zero = receive_count(state, now - self.eps, now) > self.reset_over
-        return TopAction(fire=fire, reset_to=RESET_ZERO if zero else RESET_PI)
+    def fires(self, state: OscillatorState, now: int) -> bool:
+        """Fire on reaching the top unless within epsilon of the last fire or before a full period."""
+        last = state.last_fire_tick
+        return (last is None or last <= now - self.eps) and now >= self.period
+
+    def on_reach_top(self, state: OscillatorState, now: int) -> str:
+        """Reset target once the instant has settled, from the pulses counted in the last epsilon."""
+        if receive_count(state, now - self.eps, now) > self.reset_over:
+            return RESET_ZERO
+        return RESET_PI
 
     def on_pulse(self, state: OscillatorState, now: int, current_seq: int) -> PulseAction:
         if state.phase < self.half:

@@ -1,4 +1,6 @@
-from collections import deque
+import json
+from collections import Counter, deque
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +21,10 @@ from pcosync.mechanisms import (
     MechanismConfig,
     build_mechanism,
 )
+from pcosync.scenario import parse_scenario, run_scenario, with_seed
 from pcosync.topology import build_circle_deployment, from_adjacency
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 CLOCK = TickClock()
 TPP = CLOCK.ticks_per_period
@@ -154,7 +159,7 @@ def test_initial_phase_at_top_resolves_at_tick_zero():
 # -- invariants on a busy run ---------------------------------------------------
 
 
-def flagship_result(seed=7):
+def flagship_sim(seed=7):
     topo = build_circle_deployment(24, 40, 39)
     schedules = {
         1: tuple(range(0, 3 * TPP, 3 * EPS)),
@@ -164,9 +169,12 @@ def flagship_result(seed=7):
     import random
     rng = random.Random(seed)
     phases = {i: rng.randrange(TPP + 1) for i in range(24) if i not in (1, 8, 20)}
-    sim = quorum_n_sim(topo, phases, horizon=4 * TPP,
-                       attacker_ids=(1, 8, 20), schedules=schedules)
-    return sim.run()
+    return quorum_n_sim(topo, phases, horizon=4 * TPP,
+                        attacker_ids=(1, 8, 20), schedules=schedules)
+
+
+def flagship_result(seed=7):
+    return flagship_sim(seed).run()
 
 
 def test_no_legitimate_fire_before_one_period():
@@ -215,6 +223,72 @@ def test_receive_logs_pruned_to_half_period():
         if state.receive_log:
             newest = state.receive_log[-1][0]
             assert state.receive_log[0][0] >= newest - HALF
+
+
+def assert_receive_logs_hold_trailing_half_period(result):
+    # pulses to parked oscillators are logged when emitted, so same-tick
+    # entries may be out of seq order; as a set each log must still be every
+    # delivery within half a period of the oscillator's newest one
+    half = result.clock.ticks_per_period // 2
+    received = {i: [] for i in result.legit_ids}
+    for r in records_of(result, RECEIVED):
+        if r.node in received:
+            received[r.node].append((r.tick, r.seq))
+    for i, deliveries in received.items():
+        newest = max((tick for tick, _ in deliveries), default=0)
+        expected = sorted(d for d in deliveries if d[0] >= newest - half)
+        assert sorted(result.states[i].receive_log) == expected
+
+
+@pytest.mark.parametrize("config_name", [
+    "circle24_quorum_n_attacked.json",
+    "circle24_quorum_degree_attacked.json",
+    "circle24_conventional_clean.json",
+])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_receive_log_holds_the_trailing_half_period_of_deliveries(config_name, seed):
+    config = parse_scenario(json.loads((CONFIG_DIR / config_name).read_text()))
+    assert_receive_logs_hold_trailing_half_period(run_scenario(with_seed(config, seed)).result)
+
+
+def test_receive_log_kept_while_parked_without_pulses():
+    # one early pulse, then only half-period wraps that receive nothing:
+    # reaching the top must not prune the log by the wrap tick
+    topo = from_adjacency([[1], [0]])
+    sim = quorum_n_sim(topo, {0: 0}, horizon=3 * TPP, attacker_ids=(1,), schedules={1: (10,)})
+    result = sim.run()
+    assert list(result.states[0].receive_log) == [(10, 1)]
+    assert_receive_logs_hold_trailing_half_period(result)
+
+
+class CountingMechanism:
+    """Delegates to a mechanism and counts its top-of-cycle calls per (node, tick)."""
+
+    def __init__(self, inner, node, counts):
+        self.inner, self.node, self.counts = inner, node, counts
+
+    def fires(self, state, now):
+        self.counts["fires"][(self.node, now)] += 1
+        return self.inner.fires(state, now)
+
+    def on_reach_top(self, state, now):
+        self.counts["on_reach_top"][(self.node, now)] += 1
+        return self.inner.on_reach_top(state, now)
+
+    def on_pulse(self, state, now, current_seq):
+        return self.inner.on_pulse(state, now, current_seq)
+
+
+def test_each_top_reach_decided_once():
+    sim = flagship_sim()
+    counts = {"fires": Counter(), "on_reach_top": Counter()}
+    sim.mechanisms = {i: CountingMechanism(m, i, counts) for i, m in sim.mechanisms.items()}
+    result = sim.run()
+    resets = Counter((r.node, r.tick) for r in result.records
+                     if r.kind in (RESET_TO_ZERO, RESET_TO_PI))
+    assert resets and max(resets.values()) == 1
+    assert counts["fires"] == resets
+    assert counts["on_reach_top"] == resets
 
 
 def test_identical_runs_are_identical():

@@ -95,10 +95,10 @@ def test_reset_quorum_n_strictly_over():
     now = 2 * TPP
     nine = [(now - k, k) for k in range(1, 10)]
     state = make_state(TPP, pulses=sorted(nine))
-    assert mech.on_reach_top(state, now).reset_to == RESET_ZERO
+    assert mech.on_reach_top(state, now) == RESET_ZERO
     eight = sorted(nine)[:8]
     state = make_state(TPP, pulses=eight)
-    assert mech.on_reach_top(state, now).reset_to == RESET_PI
+    assert mech.on_reach_top(state, now) == RESET_PI
 
 
 def test_reset_quorum_degree_at_least():
@@ -106,44 +106,45 @@ def test_reset_quorum_degree_at_least():
     now = 2 * TPP
     pulses = [(now - 5 + k, k) for k in range(7)]
     state = make_state(TPP, pulses=pulses)
-    assert mech.on_reach_top(state, now).reset_to == RESET_ZERO
+    assert mech.on_reach_top(state, now) == RESET_ZERO
     state = make_state(TPP, pulses=pulses[:6])
-    assert mech.on_reach_top(state, now).reset_to == RESET_ZERO  # exactly 6 is enough
+    assert mech.on_reach_top(state, now) == RESET_ZERO  # exactly 6 is enough
     state = make_state(TPP, pulses=pulses[:5])
-    assert mech.on_reach_top(state, now).reset_to == RESET_PI
+    assert mech.on_reach_top(state, now) == RESET_PI
 
 
 def test_reset_window_is_open_left():
     mech = quorum_n_mech(n_total=2, degree=1)  # reset needs more than 0 pulses
     now = 2 * TPP
     state = make_state(TPP, pulses=[(now - EPS, 1)])  # exactly at the open endpoint
-    assert mech.on_reach_top(state, now).reset_to == RESET_PI
+    assert mech.on_reach_top(state, now) == RESET_PI
     state = make_state(TPP, pulses=[(now - EPS + 1, 1)])
-    assert mech.on_reach_top(state, now).reset_to == RESET_ZERO
+    assert mech.on_reach_top(state, now) == RESET_ZERO
 
 
 def test_fire_requires_full_period_since_start():
     mech = quorum_n_mech()
     state = make_state(TPP)
-    assert not mech.on_reach_top(state, TPP - 1).fire
-    assert mech.on_reach_top(state, TPP).fire  # closed reading of the initiation guard
+    assert not mech.fires(state, TPP - 1)
+    assert mech.fires(state, TPP)  # closed reading of the initiation guard
 
 
 def test_fire_suppressed_within_epsilon():
     mech = quorum_n_mech()
     now = 3 * TPP
     state = make_state(TPP, last_fire=now - 1)
-    assert not mech.on_reach_top(state, now).fire
+    assert not mech.fires(state, now)
     state = make_state(TPP, last_fire=now - EPS)  # exactly epsilon ago: allowed again
-    assert mech.on_reach_top(state, now).fire
+    assert mech.fires(state, now)
     state = make_state(TPP, last_fire=now)  # fired this instant
-    assert not mech.on_reach_top(state, now).fire
+    assert not mech.fires(state, now)
 
 
 def test_conventional_top_always_fires_to_zero():
     mech = conventional_mech(0.5)
-    action = mech.on_reach_top(make_state(TPP), 10)  # before a period has elapsed
-    assert action.fire and action.reset_to == RESET_ZERO
+    state = make_state(TPP)
+    assert mech.fires(state, 10)  # before a period has elapsed
+    assert mech.on_reach_top(state, 10) == RESET_ZERO
 
 
 # -- pulse response -----------------------------------------------------------
