@@ -2,7 +2,7 @@
 synchronization of pulse-coupled oscillator networks."""
 
 from .adversary import AttackSchedule, AttackSpec, ScheduleError, generate, validate_schedule
-from .core import TickClock, floor_split_holds
+from .core import ConfigError, TickClock
 from .engine import (
     EngineError,
     LogRecord,
@@ -10,24 +10,11 @@ from .engine import (
     PhaseSnapshot,
     Simulation,
     SimulationResult,
-    next_wrap_tick,
     receive_count,
 )
-from .mechanisms import (
-    MechanismConfig,
-    apply_conventional_jump,
-    build_mechanism,
-    prf,
-)
-from .metrics import (
-    collective_period,
-    containing_arc,
-    containing_arc_ticks,
-    detect_sync,
-    summarize_run,
-)
+from .mechanisms import MechanismConfig, apply_conventional_jump, build_mechanism
+from .metrics import containing_arc, containing_arc_ticks, detect_sync, summarize_run
 from .scenario import (
-    ConfigError,
     ScenarioConfig,
     SweepConfig,
     config_digest,
@@ -42,9 +29,7 @@ from .topology import (
     build_circle_deployment,
     check_sync_conditions,
     from_adjacency,
-    is_strongly_connected,
     load_topology,
-    out_neighbors,
 )
 
 __version__ = "0.1.0"

@@ -167,8 +167,3 @@ def schedules_to_jsonable(schedules) -> dict:
     """Plain {attacker-id: [ticks...]} mapping for JSON dumps and summaries."""
     return {str(s.attacker): list(s.ticks) for s in schedules}
 
-
-def schedules_from_jsonable(data: dict) -> list[AttackSchedule]:
-    return [AttackSchedule(int(a), tuple(int(t) for t in ticks)) for a, ticks in sorted(
-        data.items(), key=lambda kv: int(kv[0])
-    )]

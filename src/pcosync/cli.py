@@ -13,11 +13,10 @@ import sys
 from pathlib import Path
 
 from .adversary import ScheduleError
-from .core import TWO_PI
+from .core import TWO_PI, ConfigError
 from .engine import EngineError, RECEIVED
 from .metrics import containing_arc_ticks
 from .scenario import (
-    ConfigError,
     conditions_for,
     parse_scenario,
     parse_sweep,
@@ -48,11 +47,14 @@ class _Parser(argparse.ArgumentParser):
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    return data
 
 
 def _scenario_from_args(args):
@@ -173,7 +175,7 @@ def cmd_topology(args) -> int:
     data = _load_json(args.config)
     desc = data.get("topology", data)  # accept a bare topology document too
     try:
-        topo = load_topology(desc)
+        topo, _ = load_topology(desc)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if args.format == "json":

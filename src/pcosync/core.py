@@ -4,7 +4,8 @@ All simulation time and all oscillator phases are integer ticks. One
 free-running oscillation period (2*pi seconds of phase at unit angular
 speed) spans ``ticks_per_period`` ticks, so simultaneity, interval
 endpoints and phase equality are exact integer comparisons; floats appear
-only at the reporting boundary.
+only at the reporting boundary. The config readers here are shared by the
+scenario and topology parsers.
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ class TickClock:
         if not isinstance(eps, int) or eps <= 0 or eps >= tpp // 2:
             raise ValueError("epsilon_ticks must satisfy 0 < epsilon < ticks_per_period/2")
 
-    @property
-    def half_period(self) -> int:
-        return self.ticks_per_period // 2
-
     def rad_to_ticks(self, angle: float) -> int:
         """Nearest tick for an angle in [0, 2*pi].
 
@@ -50,30 +47,27 @@ class TickClock:
             raise ValueError(f"angle {angle!r} outside [0, 2*pi]")
         return round(angle / TWO_PI * self.ticks_per_period)
 
-    def ticks_to_rad(self, ticks: int) -> float:
-        if not 0 <= ticks <= self.ticks_per_period:
-            raise ValueError(f"ticks {ticks!r} outside [0, ticks_per_period]")
-        return ticks / self.ticks_per_period * TWO_PI
-
     def ticks_to_seconds(self, ticks: int) -> float:
         # Unit angular speed: one period lasts 2*pi seconds, so the scale
         # factor is the same as for radians.
         return ticks / self.ticks_per_period * TWO_PI
 
 
-def floor_split_holds(x: int, y: int, q: int) -> bool:
-    """Check the two floor-division inequalities the quorum thresholds rest on.
+class ConfigError(ValueError):
+    """Malformed or inconsistent scenario/sweep configuration."""
 
-    For positive integers with x > y:
 
-        floor(y*q/x) >= y * floor(q/x)
-        floor(y*q/x) + floor((x-y)*q/x) + 1 >= q
+def read_int(value, field: str) -> int:
+    """A config integer. An integral JSON float such as 1e6 counts; a bool or a string does not."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if type(value) is not int:
+        raise ConfigError(f"{field} must be an integer, not {value!r}")
+    return value
 
-    Both are identities (splitting q through the floor loses less than one
-    unit per part); this function exists as an exhaustive self-test hook, so
-    a False return means an implementation bug somewhere.
-    """
-    if y < 1 or q < 1 or x <= y:
-        raise ValueError("require x > y >= 1 and q >= 1")
-    lead = y * q // x
-    return lead >= y * (q // x) and lead + (x - y) * q // x + 1 >= q
+
+def read_number(value, field: str) -> float:
+    """A finite config number as a float; a bool or a string is not one."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ConfigError(f"{field} must be a finite number, not {value!r}")
+    return float(value)

@@ -113,14 +113,6 @@ def receive_count(
     return n
 
 
-def next_wrap_tick(state: OscillatorState, now: int, ticks_per_period: int) -> int:
-    """Tick at which the phase will reach the top of the cycle by free evolution."""
-    phase = state.phase + (now - state.phase_tick)
-    if phase >= ticks_per_period:
-        raise ValueError("phase already at the top of the cycle")
-    return now + (ticks_per_period - phase)
-
-
 @dataclass
 class SimulationResult:
     """A completed run, kept as its instant log: one :class:`Instant` per

@@ -21,10 +21,9 @@ latter disabled for a full period after a reset to zero).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .core import TWO_PI, TickClock
+from .core import TickClock
 from .engine import OscillatorState, receive_count
 from .topology import KIND_QUORUM_DEGREE, KIND_QUORUM_N
 
@@ -77,15 +76,6 @@ class MechanismConfig:
                 raise ValueError(f"{self.kind} needs a nonnegative own_degree")
             if self.kind == KIND_QUORUM_N and (self.n_total is None or self.n_total < 1):
                 raise ValueError("quorum_n needs the total oscillator count")
-
-
-def prf(phase: float) -> float:
-    """Phase response curve: -phase on [0, pi], 2*pi - phase on (pi, 2*pi]."""
-    if not 0.0 <= phase <= TWO_PI:
-        raise ValueError(f"phase {phase!r} outside [0, 2*pi]")
-    if phase <= math.pi:
-        return -phase
-    return TWO_PI - phase
 
 
 def apply_conventional_jump(phase: int, coupling: float, ticks_per_period: int) -> int:

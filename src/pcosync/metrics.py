@@ -8,7 +8,7 @@ comparison, never a tolerance test. Radians appear only in reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import TWO_PI, TickClock
 from .engine import FIRED, RESET_TO_ZERO, SimulationResult
@@ -34,12 +34,6 @@ def containing_arc_ticks(phases, ticks_per_period: int) -> int:
 def containing_arc(phases, clock: TickClock) -> float:
     """Containing arc in radians (exact tick arithmetic underneath)."""
     return containing_arc_ticks(phases, clock.ticks_per_period) / clock.ticks_per_period * TWO_PI
-
-
-def arc_trace(result: SimulationResult) -> list:
-    """(tick, arc ticks) per snapshot."""
-    tpp = result.clock.ticks_per_period
-    return [(s.tick, containing_arc_ticks(s.phases, tpp)) for s in result.snapshots]
 
 
 def _tally(events, legit_set) -> tuple[int, int]:
@@ -98,21 +92,9 @@ def common_fire_ticks(result: SimulationResult, after: int = -1) -> list[int]:
     ]
 
 
-def collective_period(result: SimulationResult, after: int | None) -> list[int]:
-    """Gaps between consecutive joint firing instants after synchronization.
-
-    ``after`` is the detected synchronization tick; calling this without one
-    is an error.
-    """
-    if after is None:
-        raise ValueError("collective_period requires a detected synchronization tick")
-    ticks = common_fire_ticks(result, after)
-    return [b - a for a, b in zip(ticks, ticks[1:])]
-
-
 @dataclass
 class RunSummary:
-    """Digest of one run, serializable to JSON with stable field order."""
+    """Digest of one run; ``to_dict`` keeps the field order below for JSON."""
 
     seed: int
     config_digest: str
@@ -129,29 +111,14 @@ class RunSummary:
     periods_exact: bool | None
     initial_phases_ticks: list[int]
     attack_schedules: dict
-    arc_trace: list | None = field(default=None)
 
     def to_dict(self) -> dict:
-        out = {
-            "seed": self.seed,
-            "config_digest": self.config_digest,
-            "mechanism": self.mechanism,
-            "n": self.n,
-            "legitimate_ids": self.legitimate_ids,
-            "attacker_ids": self.attacker_ids,
-            "horizon_ticks": self.horizon_ticks,
+        return {  # overriding a key keeps its place in the order
+            **vars(self),
             "conditions": self.conditions.to_dict() if self.conditions else None,
-            "sync_tick": self.sync_tick,
             "sync_seconds": _round9(self.sync_seconds),
             "final_arc_rad": _round9(self.final_arc_rad),
-            "collective_periods": self.collective_periods,
-            "periods_exact": self.periods_exact,
-            "initial_phases_ticks": self.initial_phases_ticks,
-            "attack_schedules": self.attack_schedules,
         }
-        if self.arc_trace is not None:
-            out["arc_trace"] = [[t, _round9(a)] for t, a in self.arc_trace]
-        return out
 
 
 def _round9(x: float | None):
@@ -169,7 +136,6 @@ def summarize_run(
     initial_phases: dict,
     schedules_jsonable: dict,
     horizon: int,
-    include_arc_trace: bool = False,
 ) -> RunSummary:
     clock = result.clock
     tpp = clock.ticks_per_period
@@ -178,9 +144,6 @@ def summarize_run(
     ticks = common_fire_ticks(result, -1 if sync_tick is None else sync_tick)
     periods = [b - a for a, b in zip(ticks, ticks[1:])]
     periods_exact = all(g == tpp for g in periods) if sync_tick is not None and periods else None
-    trace = None
-    if include_arc_trace:
-        trace = [(t, a / tpp * TWO_PI) for t, a in arc_trace(result)]
     final_arc = containing_arc(result.final_offsets, clock)
     return RunSummary(
         seed=seed,
@@ -198,5 +161,4 @@ def summarize_run(
         periods_exact=periods_exact,
         initial_phases_ticks=[initial_phases[i] for i in result.legit_ids],
         attack_schedules=schedules_jsonable,
-        arc_trace=trace,
     )

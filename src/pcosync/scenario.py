@@ -19,7 +19,7 @@ from random import Random
 from statistics import median_low
 
 from . import adversary, mechanisms, topology as topo_mod
-from .core import TWO_PI, TickClock
+from .core import TWO_PI, ConfigError, TickClock, read_int, read_number
 from .engine import Simulation, SimulationResult
 from .metrics import RunSummary, summarize_run
 from .topology import ConditionReport, Topology
@@ -29,10 +29,6 @@ DEFAULT_EPSILON_TICKS = 10_000
 DEFAULT_HORIZON_PERIODS = 20
 
 PHASE_SEED_SCOPE = "phases"
-
-
-class ConfigError(ValueError):
-    """Malformed or inconsistent scenario/sweep configuration."""
 
 
 @dataclass(frozen=True)
@@ -49,7 +45,6 @@ class ScenarioConfig:
     phase_seed_scope: str
     horizon_ticks: int
     seed: int
-    arc_trace_in_summary: bool = False
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -57,80 +52,61 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
-def _check_keys(section: dict, allowed: set, label: str) -> None:
+def _section(data: dict, key: str, allowed: set) -> dict:
+    """A mapping-valued section (absent or null means empty) with only the allowed keys."""
+    section = {} if data.get(key) is None else data[key]
+    _require(isinstance(section, dict), f"{key} must be a mapping")
     unknown = set(section) - allowed
-    _require(not unknown, f"unknown {label} fields: {sorted(unknown)}")
-
-
-def _normalize_topology(desc: dict) -> dict:
-    """Canonical topology description (fixed keys, normalized value types)."""
-    if desc.get("kind") == "circle":
-        _check_keys(desc, {"kind", "n", "diameter", "range"}, "topology")
-        return {
-            "kind": "circle",
-            "n": int(desc["n"]),
-            "diameter": float(desc["diameter"]),
-            "range": float(desc["range"]),
-        }
-    if desc.get("kind") == "explicit":
-        _check_keys(desc, {"kind", "adjacency"}, "topology")
-        return {
-            "kind": "explicit",
-            "adjacency": [sorted(int(j) for j in row) for row in desc["adjacency"]],
-        }
-    raise ConfigError(f"unknown topology kind {desc.get('kind')!r}")
+    _require(not unknown, f"unknown {key} fields: {sorted(unknown)}")
+    return section
 
 
 def parse_scenario(data: dict) -> ScenarioConfig:
     """Validate a scenario mapping (parsed JSON) into a ScenarioConfig."""
     _require(isinstance(data, dict), "scenario config must be a mapping")
     unknown = set(data) - {
-        "clock", "topology", "mechanism", "attackers", "initial_phases",
-        "horizon_ticks", "seed", "output",
+        "clock", "topology", "mechanism", "attackers", "initial_phases", "horizon_ticks", "seed",
     }
     _require(not unknown, f"unknown scenario fields: {sorted(unknown)}")
 
-    clock_data = data.get("clock", {})
-    _check_keys(clock_data, {"ticks_per_period", "epsilon_ticks"}, "clock")
+    clock_data = _section(data, "clock", {"ticks_per_period", "epsilon_ticks"})
+    tpp = read_int(clock_data.get("ticks_per_period", DEFAULT_TICKS_PER_PERIOD),
+                   "clock.ticks_per_period")
+    eps = read_int(clock_data.get("epsilon_ticks", DEFAULT_EPSILON_TICKS), "clock.epsilon_ticks")
     try:
-        clock = TickClock(
-            ticks_per_period=int(clock_data.get("ticks_per_period", DEFAULT_TICKS_PER_PERIOD)),
-            epsilon_ticks=int(clock_data.get("epsilon_ticks", DEFAULT_EPSILON_TICKS)),
-        )
-    except (ValueError, TypeError) as exc:
+        clock = TickClock(ticks_per_period=tpp, epsilon_ticks=eps)
+    except ValueError as exc:
         raise ConfigError(f"bad clock: {exc}") from None
 
-    _require("topology" in data and isinstance(data["topology"], dict),
-             "scenario needs a topology section")
-    topo_desc = _normalize_topology(data["topology"])
+    _require("topology" in data, "scenario needs a topology section")
     try:
-        topo = topo_mod.load_topology(topo_desc)
+        topo, topo_desc = topo_mod.load_topology(data["topology"])
     except ValueError as exc:
         raise ConfigError(f"bad topology: {exc}") from None
 
-    mech = data.get("mechanism")
-    _require(isinstance(mech, dict) and "kind" in mech, "scenario needs mechanism.kind")
-    _check_keys(mech, {"kind", "coupling", "n_known"}, "mechanism")
+    mech = _section(data, "mechanism", {"kind", "coupling", "n_known"})
+    _require("kind" in mech, "scenario needs mechanism.kind")
     kind = mech["kind"]
     _require(kind in mechanisms.MECHANISM_KINDS, f"unknown mechanism kind {kind!r}")
     coupling = mech.get("coupling")
     n_known = mech.get("n_known")
     if kind == mechanisms.KIND_CONVENTIONAL:
         _require(coupling is not None, "conventional mechanism needs 'coupling'")
-        coupling = float(coupling)
+        coupling = read_number(coupling, "mechanism.coupling")
         _require(0.0 < coupling <= 1.0, "coupling must lie in (0, 1]")
     else:
         _require(coupling is None, f"{kind} does not take 'coupling'")
     if kind == mechanisms.KIND_QUORUM_N:
         _require(n_known is not None, "quorum_n needs 'n_known' (total oscillator count)")
-        n_known = int(n_known)
+        n_known = read_int(n_known, "mechanism.n_known")
         _require(n_known >= 1, "n_known must be positive")
     else:
         _require(n_known is None, f"{kind} does not take 'n_known'")
 
-    attackers = data.get("attackers") or {}
-    _check_keys(attackers, {"ids", "attack"}, "attackers")
-    ids = tuple(sorted(int(i) for i in attackers.get("ids", ())))
+    attackers = _section(data, "attackers", {"ids", "attack"})
+    raw_ids = attackers.get("ids", [])
+    _require(isinstance(raw_ids, list), "attackers.ids must be a list")
+    ids = tuple(sorted(read_int(i, "attackers.ids") for i in raw_ids))
     _require(len(set(ids)) == len(ids), "duplicate attacker ids")
     _require(all(0 <= i < topo.n for i in ids), "attacker id outside the topology")
     _require(len(ids) < topo.n, "at least one oscillator must stay legitimate")
@@ -152,21 +128,20 @@ def parse_scenario(data: dict) -> ScenarioConfig:
         phases_rad = None
     elif isinstance(phases_data, dict) and "radians" in phases_data:
         raw = phases_data["radians"]
-        _require(isinstance(raw, (list, tuple)), "initial_phases.radians must be a list")
+        _require(isinstance(raw, list), "initial_phases.radians must be a list")
         _require(len(raw) == n_legit,
                  f"initial_phases.radians must list {n_legit} values (one per legitimate oscillator)")
-        phases_rad = tuple(float(x) for x in raw)
+        phases_rad = tuple(read_number(x, "initial_phases.radians") for x in raw)
         _require(all(0.0 <= x <= TWO_PI for x in phases_rad),
                  "initial phases must lie in [0, 2*pi]")
     else:
         raise ConfigError("initial_phases must be {'random_uniform': scope} or {'radians': [...]}")
 
-    horizon = int(data.get("horizon_ticks", DEFAULT_HORIZON_PERIODS * clock.ticks_per_period))
+    default_horizon = DEFAULT_HORIZON_PERIODS * clock.ticks_per_period
+    horizon = read_int(data.get("horizon_ticks", default_horizon), "horizon_ticks")
     _require(horizon > 0, "horizon_ticks must be positive")
-    seed = int(data.get("seed", 0))
+    seed = read_int(data.get("seed", 0), "seed")
     _require(seed >= 0, "seed must be a nonnegative integer")
-    output = data.get("output") or {}
-    _check_keys(output, {"arc_trace_in_summary"}, "output")
 
     return ScenarioConfig(
         clock=clock,
@@ -181,7 +156,6 @@ def parse_scenario(data: dict) -> ScenarioConfig:
         phase_seed_scope=scope,
         horizon_ticks=horizon,
         seed=seed,
-        arc_trace_in_summary=bool(output.get("arc_trace_in_summary", False)),
     )
 
 
@@ -191,21 +165,28 @@ def _parse_attack_spec(data: dict, ids: tuple[int, ...]) -> adversary.AttackSpec
         if kind == "scripted":
             ticks = data.get("ticks")
             _require(isinstance(ticks, dict), "scripted attack needs a 'ticks' mapping")
+            for a, ts in ticks.items():
+                _require(str(a).isdecimal() and isinstance(ts, list),
+                         f"scripted ticks must map attacker ids to tick lists (key {a!r})")
             scripted = tuple(sorted(
-                (int(a), tuple(int(t) for t in ts)) for a, ts in ticks.items()
+                (int(a), tuple(read_int(t, "attackers.attack.ticks") for t in ts))
+                for a, ts in ticks.items()
             ))
             _require(set(a for a, _ in scripted) <= set(ids),
                      "scripted ticks reference a non-attacker id")
             return adversary.AttackSpec(kind="scripted", attacker_ids=ids, scripted=scripted)
         common = dict(
             attacker_ids=ids,
-            horizon_ticks=int(data["horizon_ticks"]) if "horizon_ticks" in data else None,
+            horizon_ticks=(read_int(data["horizon_ticks"], "attackers.attack.horizon_ticks")
+                           if "horizon_ticks" in data else None),
             seed_scope=str(data.get("seed_scope", "attack")),
         )
         if kind == "random_budget":
-            return adversary.AttackSpec(kind=kind, total_pulses=int(data["total_pulses"]), **common)
+            pulses = read_int(data["total_pulses"], "attackers.attack.total_pulses")
+            return adversary.AttackSpec(kind=kind, total_pulses=pulses, **common)
         if kind == "periodic":
-            return adversary.AttackSpec(kind=kind, period_ticks=int(data["period_ticks"]), **common)
+            period = read_int(data["period_ticks"], "attackers.attack.period_ticks")
+            return adversary.AttackSpec(kind=kind, period_ticks=period, **common)
         if kind == "stealthy":
             return adversary.AttackSpec(kind=kind, **common)
     except KeyError as exc:
@@ -248,8 +229,6 @@ def canonical_dict(config: ScenarioConfig) -> dict:
         out["initial_phases"] = {"random_uniform": config.phase_seed_scope}
     else:
         out["initial_phases"] = {"radians": list(config.initial_phases_rad)}
-    if config.arc_trace_in_summary:
-        out["output"] = {"arc_trace_in_summary": True}
     return out
 
 
@@ -279,7 +258,6 @@ def draw_initial_phases(config: ScenarioConfig, legit_ids) -> dict:
 @dataclass
 class RunArtifacts:
     config: ScenarioConfig
-    conditions: ConditionReport | None
     result: SimulationResult
     summary: RunSummary
 
@@ -323,24 +301,20 @@ def build_simulation(config: ScenarioConfig):
     return sim, phases, schedules
 
 
-def run_scenario(config: ScenarioConfig, *, include_arc_trace: bool | None = None) -> RunArtifacts:
+def run_scenario(config: ScenarioConfig) -> RunArtifacts:
     sim, phases, schedules = build_simulation(config)
     result = sim.run()
-    conditions = conditions_for(config)
-    if include_arc_trace is None:
-        include_arc_trace = config.arc_trace_in_summary
     summary = summarize_run(
         result,
         seed=config.seed,
         config_digest=config_digest(config),
         mechanism=config.mechanism_kind,
-        conditions=conditions,
+        conditions=conditions_for(config),
         initial_phases=phases,
         schedules_jsonable=adversary.schedules_to_jsonable(schedules),
         horizon=config.horizon_ticks,
-        include_arc_trace=include_arc_trace,
     )
-    return RunArtifacts(config=config, conditions=conditions, result=result, summary=summary)
+    return RunArtifacts(config=config, result=result, summary=summary)
 
 
 # -- sweeps ----------------------------------------------------------------
@@ -361,18 +335,20 @@ def parse_sweep(data: dict) -> SweepConfig:
     _require(not unknown, f"unknown sweep fields: {sorted(unknown)}")
     _require("base" in data, "sweep config needs a 'base' scenario")
     base = parse_scenario(data["base"])
-    runs = int(data.get("runs", 1))
+    runs = read_int(data.get("runs", 1), "runs")
     _require(runs >= 1, "sweep needs runs >= 1")
-    seed_base = int(data.get("seed_base", base.seed))
+    seed_base = read_int(data.get("seed_base", base.seed), "seed_base")
     _require(seed_base >= 0, "seed_base must be a nonnegative integer")
-    workers = int(data.get("workers", 1))
+    workers = read_int(data.get("workers", 1), "workers")
     _require(workers >= 1, "workers must be >= 1")
+    write_summaries = data.get("write_run_summaries", False)
+    _require(isinstance(write_summaries, bool), "write_run_summaries must be true or false")
     return SweepConfig(
         base=base,
         runs=runs,
         seed_base=seed_base,
         workers=workers,
-        write_run_summaries=bool(data.get("write_run_summaries", False)),
+        write_run_summaries=write_summaries,
     )
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .core import read_int, read_number
+
 KIND_QUORUM_N = "quorum_n"
 KIND_QUORUM_DEGREE = "quorum_degree"
 
@@ -47,33 +49,27 @@ class ConditionReport:
     max_allowed_attackers: int
 
     def to_dict(self) -> dict:
-        return {
-            "mechanism": self.mechanism,
-            "n": self.n,
-            "d": self.d,
-            "m": self.m,
-            "degree_bound": self.degree_bound,
-            "degree_ok": self.degree_ok,
-            "attacker_bound_ok": self.attacker_bound_ok,
-            "max_allowed_attackers": self.max_allowed_attackers,
-        }
+        return dict(vars(self))  # every field is a scalar, in the order above
 
 
 def from_adjacency(adjacency) -> Topology:
     """Validate raw adjacency lists and derive all degree fields.
 
-    Rejects self-edges, duplicate edges and out-of-range node indices.
+    Rejects rows that are not lists, self-edges, duplicate edges, and node
+    indices that are not integers in range (booleans included).
     """
+    if not isinstance(adjacency, list) or not adjacency:
+        raise ValueError("topology needs a nonempty list of adjacency rows")
     n = len(adjacency)
-    if n < 1:
-        raise ValueError("topology needs at least one node")
     rows: list[tuple[int, ...]] = []
     indeg = [0] * n
     for i, neigh in enumerate(adjacency):
+        if not isinstance(neigh, list):
+            raise ValueError(f"adjacency row {i} is not a list")
         seen = set()
         for j in neigh:
-            if not isinstance(j, int) or not 0 <= j < n:
-                raise ValueError(f"edge ({i},{j}) references a node outside [0,{n})")
+            if type(j) is not int or not 0 <= j < n:
+                raise ValueError(f"edge ({i},{j!r}): node index must be an integer in [0,{n})")
             if j == i:
                 raise ValueError(f"self-edge ({i},{i}) not allowed")
             if j in seen:
@@ -118,13 +114,6 @@ def build_circle_deployment(n: int, diameter: float, comm_range: float) -> Topol
     return from_adjacency(adjacency)
 
 
-def out_neighbors(topology: Topology, i: int) -> tuple[int, ...]:
-    """Out-neighbor ids of node i in ascending order."""
-    if not 0 <= i < topology.n:
-        raise ValueError(f"node id {i} outside [0,{topology.n})")
-    return topology.adjacency[i]
-
-
 def check_sync_conditions(topology: Topology, mechanism: str, m: int) -> ConditionReport:
     """Evaluate the degree and attacker-count bounds that guarantee synchronization.
 
@@ -155,47 +144,31 @@ def check_sync_conditions(topology: Topology, mechanism: str, m: int) -> Conditi
     )
 
 
-def load_topology(description: dict) -> Topology:
+_TOPOLOGY_FIELDS = {"circle": ("n", "diameter", "range"), "explicit": ("adjacency",)}
+
+
+def load_topology(description) -> tuple[Topology, dict]:
     """Build a topology from its config-file description.
 
     Accepts {"kind": "circle", "n": int, "diameter": num, "range": num} or
-    {"kind": "explicit", "adjacency": [[...], ...]}.
+    {"kind": "explicit", "adjacency": [[...], ...]}. Returns the topology
+    and the canonical description (fixed keys, normalized value types) that
+    feeds the config digest.
     """
     if not isinstance(description, dict):
         raise ValueError("topology description must be a mapping")
     kind = description.get("kind")
-    if kind == "circle":
-        try:
-            n = description["n"]
-            diameter = description["diameter"]
-            comm_range = description["range"]
-        except KeyError as exc:
-            raise ValueError(f"circle topology missing field {exc}") from None
-        return build_circle_deployment(int(n), float(diameter), float(comm_range))
+    fields = _TOPOLOGY_FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        raise ValueError(f"unknown topology kind {kind!r}")
+    if set(description) != {"kind", *fields}:
+        raise ValueError(f"{kind} topology takes exactly the fields {['kind', *fields]}, "
+                         f"not {sorted(description)}")
     if kind == "explicit":
-        if "adjacency" not in description:
-            raise ValueError("explicit topology missing 'adjacency'")
-        return from_adjacency(description["adjacency"])
-    raise ValueError(f"unknown topology kind {kind!r}")
-
-
-def is_strongly_connected(topology: Topology) -> bool:
-    """Reachability check used to probe the dense-graph connectivity property."""
-    if topology.n == 1:
-        return True
-    reverse: list[list[int]] = [[] for _ in range(topology.n)]
-    for i, row in enumerate(topology.adjacency):
-        for j in row:
-            reverse[j].append(i)
-
-    def full_reach(adj) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            for j in adj[stack.pop()]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == topology.n
-
-    return full_reach(topology.adjacency) and full_reach(reverse)
+        topo = from_adjacency(description["adjacency"])
+        return topo, {"kind": kind, "adjacency": [list(row) for row in topo.adjacency]}
+    n = read_int(description["n"], "topology.n")
+    diameter = read_number(description["diameter"], "topology.diameter")
+    comm_range = read_number(description["range"], "topology.range")
+    canonical = {"kind": kind, "n": n, "diameter": diameter, "range": comm_range}
+    return build_circle_deployment(n, diameter, comm_range), canonical

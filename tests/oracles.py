@@ -1,0 +1,65 @@
+"""Reference computations the tests check the simulator against.
+
+They restate a documented rule directly (a float response curve, a floor
+identity, a reachability search, an arc per snapshot) and are not part of the
+package: nothing in ``src/`` needs them to run a scenario.
+"""
+
+import math
+
+from pcosync.core import TWO_PI
+from pcosync.metrics import containing_arc_ticks
+
+
+def prf(phase: float) -> float:
+    """Phase response curve: -phase on [0, pi], 2*pi - phase on (pi, 2*pi]."""
+    if not 0.0 <= phase <= TWO_PI:
+        raise ValueError(f"phase {phase!r} outside [0, 2*pi]")
+    if phase <= math.pi:
+        return -phase
+    return TWO_PI - phase
+
+
+def floor_split_holds(x: int, y: int, q: int) -> bool:
+    """Check the two floor-division inequalities the quorum thresholds rest on.
+
+    For positive integers with x > y:
+
+        floor(y*q/x) >= y * floor(q/x)
+        floor(y*q/x) + floor((x-y)*q/x) + 1 >= q
+
+    Both are identities (splitting q through the floor loses less than one
+    unit per part), so a False return means an arithmetic bug somewhere.
+    """
+    if y < 1 or q < 1 or x <= y:
+        raise ValueError("require x > y >= 1 and q >= 1")
+    lead = y * q // x
+    return lead >= y * (q // x) and lead + (x - y) * q // x + 1 >= q
+
+
+def is_strongly_connected(topology) -> bool:
+    """Reachability check used to probe the dense-graph connectivity property."""
+    if topology.n == 1:
+        return True
+    reverse: list[list[int]] = [[] for _ in range(topology.n)]
+    for i, row in enumerate(topology.adjacency):
+        for j in row:
+            reverse[j].append(i)
+
+    def full_reach(adj) -> bool:
+        seen = {0}
+        stack = [0]
+        while stack:
+            for j in adj[stack.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        return len(seen) == topology.n
+
+    return full_reach(topology.adjacency) and full_reach(reverse)
+
+
+def arc_trace(result) -> list:
+    """(tick, arc ticks) per snapshot of a completed run."""
+    tpp = result.clock.ticks_per_period
+    return [(s.tick, containing_arc_ticks(s.phases, tpp)) for s in result.snapshots]

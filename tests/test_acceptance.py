@@ -9,8 +9,9 @@ import time
 from collections import Counter, deque
 from random import Random
 
+from oracles import arc_trace, floor_split_holds
 from pcosync.cli import main
-from pcosync.core import TickClock, floor_split_holds
+from pcosync.core import TickClock
 from pcosync.engine import (
     FIRED,
     RESET_TO_ZERO,
@@ -19,7 +20,7 @@ from pcosync.engine import (
     Simulation,
 )
 from pcosync.mechanisms import KIND_QUORUM_N, MechanismConfig, build_mechanism
-from pcosync.metrics import arc_trace, common_fire_ticks, containing_arc_ticks, detect_sync
+from pcosync.metrics import common_fire_ticks, containing_arc_ticks, detect_sync
 from pcosync.scenario import parse_scenario, parse_sweep, run_scenario, run_sweep
 from pcosync.topology import build_circle_deployment, from_adjacency
 

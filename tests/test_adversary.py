@@ -7,7 +7,6 @@ from pcosync.adversary import (
     AttackSpec,
     ScheduleError,
     generate,
-    schedules_from_jsonable,
     schedules_to_jsonable,
     validate_schedule,
 )
@@ -108,5 +107,8 @@ def test_jsonable_round_trip():
     schedules = [AttackSchedule(8, (1, 20_002)), AttackSchedule(1, (5,))]
     data = schedules_to_jsonable(schedules)
     assert data == {"8": [1, 20_002], "1": [5]}
-    back = schedules_from_jsonable(data)
+    # replayed as a scripted attack, the mapping gives back the same schedules
+    scripted = tuple(sorted((int(a), tuple(ts)) for a, ts in data.items()))
+    back = generate(AttackSpec(kind="scripted", attacker_ids=(1, 8), scripted=scripted),
+                    CLOCK, Random(0))
     assert back == [AttackSchedule(1, (5,)), AttackSchedule(8, (1, 20_002))]

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from pcosync.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -160,6 +162,54 @@ def test_topology_accepts_bare_description(tmp_path, capsys):
     cfg = write_config(tmp_path, {"kind": "explicit", "adjacency": [[1], [0]]})
     assert main(["topology", "--config", cfg, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["network_degree"] == 1
+
+
+def attacked_scenario(ids=(1,), **attack):
+    data = small_scenario()
+    data["attackers"] = {"ids": ids, "attack": {"kind": "random_budget", "total_pulses": 4,
+                                                "horizon_ticks": 1_000_000, **attack}}
+    return data
+
+
+def with_fields(data, **fields):
+    data.update(fields)
+    return data
+
+
+BAD_TOPOLOGIES = {
+    "float-node-index": {"kind": "explicit", "adjacency": [[1], [0.5]]},
+    "bool-node-index": {"kind": "explicit", "adjacency": [[True], [0]]},
+    "row-not-a-list": {"kind": "explicit", "adjacency": [1, [0]]},
+    "circle-without-range": {"kind": "circle", "n": 8, "diameter": 40},
+    "circle-n-string": {"kind": "circle", "n": "abc", "diameter": 40, "range": 39},
+    "circle-n-fraction": {"kind": "circle", "n": 24.9, "diameter": 40, "range": 39},
+    "not-an-object": [],
+}
+
+BAD_SCENARIOS = {
+    "total-pulses-string": attacked_scenario(total_pulses="x"),
+    "clock-list": with_fields(small_scenario(), clock=[]),
+    "seed-bool": with_fields(small_scenario(), seed=True),
+    "ids-string": attacked_scenario(ids="12"),
+    "coupling-string": with_fields(small_scenario(),
+                                   mechanism={"kind": "conventional", "coupling": "x"}),
+    "radians-strings": with_fields(small_scenario(), initial_phases={"radians": ["a"] * 8}),
+    "scripted-key": attacked_scenario(kind="scripted", ticks={"x": [5]}),
+    "output-section": with_fields(small_scenario(), output={"arc_trace_in_summary": True}),
+    **{f"topology-{name}": with_fields(small_scenario(), topology=topo)
+       for name, topo in BAD_TOPOLOGIES.items()},
+}
+
+
+@pytest.mark.parametrize("command,data", [
+    *(("validate", data) for data in BAD_SCENARIOS.values()),
+    *(("topology", topo) for topo in BAD_TOPOLOGIES.values()),
+], ids=[*(f"validate-{k}" for k in BAD_SCENARIOS), *(f"topology-{k}" for k in BAD_TOPOLOGIES)])
+def test_malformed_config_gets_one_error_line(tmp_path, capsys, command, data):
+    code = main([command, "--config", write_config(tmp_path, data)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 def test_shipped_configs_parse(capsys):

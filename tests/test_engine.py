@@ -13,7 +13,6 @@ from pcosync.engine import (
     SHIFTED_TO_2PI,
     OscillatorState,
     Simulation,
-    next_wrap_tick,
     receive_count,
 )
 from pcosync.mechanisms import (
@@ -61,7 +60,7 @@ def records_of(result, kind, node=None):
             if r.kind == kind and (node is None or r.node == node)]
 
 
-# -- receive_count and next_wrap_tick ----------------------------------------
+# -- receive_count -------------------------------------------------------------
 
 
 def test_receive_count_windows():
@@ -72,17 +71,6 @@ def test_receive_count_windows():
     assert receive_count(state, 90, 150, lo_closed=True, hi_closed=False) == 3 - 1
     assert receive_count(state, 100, 150, lo_closed=True) == 3
     assert receive_count(state, 0, 99) == 0
-
-
-def test_next_wrap_tick():
-    state = OscillatorState(id=0, phase=0, phase_tick=0)
-    assert next_wrap_tick(state, 0, TPP) == TPP
-    state = OscillatorState(id=0, phase=HALF, phase_tick=1000)
-    assert next_wrap_tick(state, 1000, TPP) == 1000 + HALF
-    state = OscillatorState(id=0, phase=HALF, phase_tick=7)  # after a half-cycle reset at 7
-    assert next_wrap_tick(state, 7, TPP) == 7 + HALF
-    with pytest.raises(ValueError):
-        next_wrap_tick(OscillatorState(id=0, phase=TPP), 0, TPP)
 
 
 # -- small hand-traced scenarios ----------------------------------------------

@@ -3,6 +3,7 @@ from collections import deque
 
 import pytest
 
+from oracles import prf
 from pcosync.core import TWO_PI, TickClock
 from pcosync.engine import OscillatorState
 from pcosync.mechanisms import (
@@ -14,7 +15,6 @@ from pcosync.mechanisms import (
     MechanismConfig,
     apply_conventional_jump,
     build_mechanism,
-    prf,
 )
 
 CLOCK = TickClock()  # 1_000_000 ticks, epsilon 10_000

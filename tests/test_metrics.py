@@ -7,7 +7,6 @@ from pcosync.core import TWO_PI, TickClock
 from pcosync.engine import Simulation
 from pcosync.mechanisms import KIND_QUORUM_N, MechanismConfig, build_mechanism
 from pcosync.metrics import (
-    collective_period,
     common_fire_ticks,
     containing_arc,
     containing_arc_ticks,
@@ -102,10 +101,11 @@ def test_detect_sync_stable_under_longer_horizon():
 def test_collective_period_exact_after_sync():
     art = reference_run()
     tick = detect_sync(art.result)
-    gaps = collective_period(art.result, tick)
+    fire_ticks = common_fire_ticks(art.result, tick)
+    gaps = art.summary.collective_periods
+    assert gaps == [b - a for a, b in zip(fire_ticks, fire_ticks[1:])]
     assert gaps and all(g == TPP for g in gaps)
-    with pytest.raises(ValueError):
-        collective_period(art.result, None)
+    assert art.summary.periods_exact is True
 
 
 def test_conventional_never_reaches_exact_sync():

@@ -37,6 +37,14 @@ def test_parse_and_canonical_round_trip():
     assert config_digest(again) == config_digest(config)
 
 
+def test_integral_floats_keep_the_digest():
+    data = json.loads(json.dumps(BASE))
+    data["horizon_ticks"] = 5e6
+    data["topology"]["n"] = 24.0
+    data["attackers"]["attack"]["horizon_ticks"] = 3.5e6
+    assert config_digest(parse_scenario(data)) == config_digest(parse_scenario(BASE))
+
+
 def test_digest_changes_with_content():
     a = parse_scenario(BASE)
     b = with_seed(a, 2)
@@ -134,6 +142,10 @@ def test_sweep_validation():
         parse_sweep({"base": dict(BASE), "runs": 0})
     with pytest.raises(ConfigError):
         parse_sweep({"base": dict(BASE), "runs": 2, "bogus": True})
+    with pytest.raises(ConfigError):
+        parse_sweep({"base": dict(BASE), "runs": "3"})
+    with pytest.raises(ConfigError):
+        parse_sweep({"base": dict(BASE), "runs": 2, "write_run_summaries": "no"})
 
 
 def test_overbudget_dense_attack_breaks_guarantee_bound():

@@ -2,13 +2,12 @@ import math
 
 import pytest
 
+from oracles import is_strongly_connected
 from pcosync.topology import (
     build_circle_deployment,
     check_sync_conditions,
     from_adjacency,
-    is_strongly_connected,
     load_topology,
-    out_neighbors,
 )
 
 
@@ -82,22 +81,14 @@ def test_conditions_reject_bad_inputs():
         check_sync_conditions(topo, "conventional", 0)
 
 
-def test_out_neighbors():
-    complete3 = from_adjacency([[1, 2], [0, 2], [0, 1]])
-    assert out_neighbors(complete3, 0) == (1, 2)
-    single_edge = from_adjacency([[1], []])
-    assert out_neighbors(single_edge, 1) == ()
-    circle = build_circle_deployment(24, 40, 39)
-    assert out_neighbors(circle, 0) == circle.adjacency[0]
-    with pytest.raises(ValueError):
-        out_neighbors(complete3, 3)
-
-
 def test_load_topology():
-    explicit = load_topology({"kind": "explicit", "adjacency": [[1, 2], [0, 2], [0, 1]]})
+    explicit, desc = load_topology({"kind": "explicit", "adjacency": [[2, 1], [0, 2], [0, 1]]})
     assert explicit.network_degree == 2
-    circle = load_topology({"kind": "circle", "n": 24, "diameter": 40, "range": 39})
+    assert desc == {"kind": "explicit", "adjacency": [[1, 2], [0, 2], [0, 1]]}
+    circle, desc = load_topology({"kind": "circle", "n": 24, "diameter": 40, "range": 39})
     assert circle.network_degree == 20
+    assert desc == {"kind": "circle", "n": 24, "diameter": 40.0, "range": 39.0}
+    assert type(desc["diameter"]) is float and type(desc["range"]) is float
     with pytest.raises(ValueError):
         load_topology({"kind": "explicit", "adjacency": [[1], [0], [2, 2]]})  # self-edge
     with pytest.raises(ValueError):
@@ -106,6 +97,16 @@ def test_load_topology():
         load_topology({"kind": "explicit", "adjacency": [[5], [0]]})  # out of range
     with pytest.raises(ValueError):
         load_topology({"kind": "torus"})
+    with pytest.raises(ValueError):
+        load_topology({"kind": "explicit", "adjacency": [[True], [0]]})  # bool node index
+    with pytest.raises(ValueError):
+        load_topology({"kind": "explicit", "adjacency": [[1], [0.5]]})  # float node index
+    with pytest.raises(ValueError):
+        load_topology({"kind": "explicit", "adjacency": [1, [0]]})  # row is not a list
+    with pytest.raises(ValueError):
+        load_topology({"kind": "circle", "n": 24, "diameter": 40})  # missing range
+    with pytest.raises(ValueError):
+        load_topology({"kind": "circle", "n": 24.9, "diameter": 40, "range": 39})
 
 
 def test_degree_is_min_of_in_and_out():
