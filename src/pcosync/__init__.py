@@ -10,9 +10,8 @@ from .engine import (
     PhaseSnapshot,
     Simulation,
     SimulationResult,
-    receive_count,
 )
-from .mechanisms import MechanismConfig, apply_conventional_jump, build_mechanism
+from .mechanisms import MechanismConfig, apply_conventional_jump, build_mechanism, receive_count
 from .metrics import containing_arc, containing_arc_ticks, detect_sync, summarize_run
 from .scenario import (
     ScenarioConfig,

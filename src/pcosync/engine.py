@@ -12,15 +12,17 @@ functions::
 
     fires(state, now) -> bool
     on_reach_top(state, now) -> "zero" | "pi"
-    on_pulse(state, now, current_seq) -> action with .kind in
+    on_pulse(state, now) -> action with .kind in
         {"ignore", "shift", "jump"} (jump carries .jump_to ticks)
 
 The kernel calls ``fires`` once, the moment an oscillator's phase reaches the
 top of the cycle (so fire suppression applies mid-cascade), and
 ``on_reach_top`` once, after the instant has settled, when the full set of
-same-instant pulses is in the receive log. An oscillator parked at the top
-ignores pulses but still counts them, so a pulse sent to it is added to its
-receive log when it is emitted instead of being queued.
+same-instant pulses is in the receive log. ``on_pulse`` sees the receive log
+pruned to the trailing half period, with the pulse being handled as its
+newest entry: every earlier entry arrived before that pulse. An oscillator
+parked at the top ignores pulses but still counts them, so a pulse sent to it
+is added to its receive log when it is emitted instead of being queued.
 """
 
 from __future__ import annotations
@@ -70,10 +72,9 @@ class OscillatorState:
     """Mutable per-oscillator state the mechanisms decide on.
 
     ``phase`` is the phase in ticks at reference time ``phase_tick``; between
-    events the phase advances one tick per tick. ``receive_log`` holds
-    (tick, seq) pairs for received pulses, ticks non-decreasing (same-tick
-    pairs need not be in seq order), pruned to the trailing half period
-    (the widest counting window any rule uses); the scalar
+    events the phase advances one tick per tick. ``receive_log`` holds the
+    non-decreasing ticks of received pulses, pruned to the trailing half
+    period (the widest counting window any rule uses); the scalar
     ``last_reset_to_zero_tick`` survives pruning because one rule looks a
     full period back.
     """
@@ -85,32 +86,6 @@ class OscillatorState:
     last_fire_tick: int | None = None
     last_reset_to_zero_tick: int | None = None
     wrap_gen: int = 0  # bumps on every reschedule; stale queue entries are skipped
-
-
-def receive_count(
-    state: OscillatorState,
-    lo: int,
-    hi: int,
-    *,
-    lo_closed: bool = False,
-    hi_closed: bool = True,
-    before_seq: int | None = None,
-) -> int:
-    """Count received pulses inside a tick window with explicit endpoint openness.
-
-    ``before_seq`` excludes the pulse currently being processed and any
-    later same-instant pulses, i.e. it restricts the count to pulses received
-    strictly before the current one.
-    """
-    top = hi if hi_closed else hi - 1
-    bottom = lo if lo_closed else lo + 1
-    n = 0
-    for t, s in reversed(state.receive_log):  # newest first; ticks never decrease
-        if t < bottom:
-            break
-        if t <= top and (before_seq is None or s < before_seq):
-            n += 1
-    return n
 
 
 @dataclass
@@ -242,7 +217,6 @@ class Simulation:
         self._queue = queue
         self._log = []
         self._offsets = initial
-        self._seq = 0
         self._cascade_cap = self.topology.n * self.topology.n
 
         horizon = self.horizon
@@ -270,28 +244,28 @@ class Simulation:
         mechanisms = self.mechanisms
         adjacency = self.topology.adjacency
         tpp = self.clock.ticks_per_period
-        pending: list = []  # (receiver, seq) in emission order
+        pending: list[int] = []  # receivers in emission order
         at_top: set[int] = set()
         events: list = []
-        seq = first_seq = self._seq
+        delivered = 0  # deliveries this instant, including those to attackers
         cap = self._cascade_cap
 
         def emit(sender: int) -> None:
             # parked receivers only count the pulse and attackers ignore it,
             # so only pulses that may move a phase are queued
-            nonlocal seq
+            nonlocal delivered
             targets = adjacency[sender]
-            if seq + len(targets) - first_seq > cap:
+            delivered += len(targets)
+            if delivered > cap:
                 raise EngineError(
                     f"same-instant cascade at tick {t} exceeded {cap} deliveries; "
                     "mechanism rules are not suppressing repeated fires"
                 )
             for r in targets:
-                seq += 1
                 if r in at_top:
-                    states[r].receive_log.append((t, seq))
+                    states[r].receive_log.append(t)
                 elif r in states:
-                    pending.append((r, seq))
+                    pending.append(r)
 
         def park(i: int) -> bool:
             """Put oscillator i at the cycle top; True if it fires."""
@@ -328,17 +302,17 @@ class Simulation:
         # emit, and a list iterator also visits what emit appends during the loop
         half = tpp // 2
         cutoff = t - half
-        for r, s in pending:
+        for r in pending:
             st = states[r]
             log = st.receive_log
-            log.append((t, s))
+            log.append(t)
             if r in at_top:
                 continue  # parked after this pulse was queued; the pulse still counts
-            while log[0][0] < cutoff:
+            while log[0] < cutoff:
                 log.popleft()
             st.phase += t - st.phase_tick
             st.phase_tick = t
-            action = mechanisms[r].on_pulse(st, t, s)
+            action = mechanisms[r].on_pulse(st, t)
             kind = action.kind
             if kind == "ignore":
                 continue
@@ -363,8 +337,8 @@ class Simulation:
         for i in sorted(at_top):
             st = states[i]
             log = st.receive_log
-            if log and log[-1][0] == t:
-                while log[0][0] < cutoff:
+            if log and log[-1] == t:
+                while log[0] < cutoff:
                     log.popleft()
             if mechanisms[i].on_reach_top(st, t) == "zero":
                 st.phase = 0
@@ -377,7 +351,6 @@ class Simulation:
             st.wrap_gen += 1
             heapq.heappush(queue, (t + tpp - st.phase, _PRIO_WRAP, i, st.wrap_gen))
 
-        self._seq = seq
         if not events:
             self._log.append(t)  # only stale wraps popped: nothing changed
             return

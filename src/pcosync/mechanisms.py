@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import TickClock
-from .engine import OscillatorState, receive_count
+from .engine import OscillatorState
 from .topology import KIND_QUORUM_DEGREE, KIND_QUORUM_N
 
 KIND_CONVENTIONAL = "conventional"
@@ -48,6 +48,16 @@ SHIFT_TO_2PI = PulseAction("shift")
 
 def jump_to(phase_ticks: int) -> PulseAction:
     return PulseAction("jump", phase_ticks)
+
+
+def receive_count(state: OscillatorState, after: int) -> int:
+    """Received pulses logged at ticks strictly after ``after``."""
+    n = 0
+    for t in reversed(state.receive_log):  # newest first; ticks never decrease
+        if t <= after:
+            break
+        n += 1
+    return n
 
 
 @dataclass(frozen=True)
@@ -107,7 +117,7 @@ class ConventionalPrf:
     def on_reach_top(self, state: OscillatorState, now: int) -> str:
         return RESET_ZERO
 
-    def on_pulse(self, state: OscillatorState, now: int, current_seq: int) -> PulseAction:
+    def on_pulse(self, state: OscillatorState, now: int) -> PulseAction:
         return jump_to(apply_conventional_jump(state.phase, self.coupling, self.ticks_per_period))
 
 
@@ -134,20 +144,22 @@ class QuorumMechanism:
 
     def on_reach_top(self, state: OscillatorState, now: int) -> str:
         """Reset target once the instant has settled, from the pulses counted in the last epsilon."""
-        if receive_count(state, now - self.eps, now) > self.reset_over:
+        if receive_count(state, now - self.eps) > self.reset_over:
             return RESET_ZERO
         return RESET_PI
 
-    def on_pulse(self, state: OscillatorState, now: int, current_seq: int) -> PulseAction:
+    def on_pulse(self, state: OscillatorState, now: int) -> PulseAction:
+        """Shift on a quorum of earlier pulses; the pulse handled is the newest log entry."""
         if state.phase < self.half:
             return IGNORE
         quorum = self.response_quorum
-        if receive_count(state, now - self.eps, now, before_seq=current_seq) >= quorum:
+        if receive_count(state, now - self.eps) - 1 >= quorum:
             return SHIFT_TO_2PI
         reset = state.last_reset_to_zero_tick
         if reset is not None and now - self.period < reset < now:
             return IGNORE  # recent reset to zero disables the half-period rule
-        if receive_count(state, now - self.half, now, lo_closed=True, before_seq=current_seq) >= quorum:
+        # the log holds exactly the trailing half period, [now - half, now]
+        if len(state.receive_log) - 1 >= quorum:
             return SHIFT_TO_2PI
         return IGNORE
 

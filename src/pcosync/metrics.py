@@ -133,9 +133,7 @@ def summarize_run(
     config_digest: str,
     mechanism: str,
     conditions: ConditionReport | None,
-    initial_phases: dict,
     schedules_jsonable: dict,
-    horizon: int,
 ) -> RunSummary:
     clock = result.clock
     tpp = clock.ticks_per_period
@@ -152,13 +150,13 @@ def summarize_run(
         n=len(result.legit_ids) + len(result.attacker_ids),
         legitimate_ids=list(result.legit_ids),
         attacker_ids=list(result.attacker_ids),
-        horizon_ticks=horizon,
+        horizon_ticks=result.horizon,
         conditions=conditions,
         sync_tick=sync_tick,
         sync_seconds=None if sync_tick is None else clock.ticks_to_seconds(sync_tick),
         final_arc_rad=final_arc,
         collective_periods=periods,
         periods_exact=periods_exact,
-        initial_phases_ticks=[initial_phases[i] for i in result.legit_ids],
+        initial_phases_ticks=list(result.initial_offsets),
         attack_schedules=schedules_jsonable,
     )

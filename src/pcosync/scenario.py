@@ -30,6 +30,14 @@ DEFAULT_HORIZON_PERIODS = 20
 
 PHASE_SEED_SCOPE = "phases"
 
+# the fields each attack kind takes besides "kind"
+_ATTACK_FIELDS = {
+    "scripted": {"ticks"},
+    "random_budget": {"total_pulses", "horizon_ticks", "seed_scope"},
+    "periodic": {"period_ticks", "horizon_ticks", "seed_scope"},
+    "stealthy": {"horizon_ticks", "seed_scope"},
+}
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -120,13 +128,18 @@ def parse_scenario(data: dict) -> ScenarioConfig:
         _require("attack" not in attackers, "attack spec given without attacker ids")
 
     n_legit = topo.n - len(ids)
-    phases_data = data.get("initial_phases", {"random_uniform": PHASE_SEED_SCOPE})
+    phases_data = (_section(data, "initial_phases", {"random_uniform", "radians"})
+                   if "initial_phases" in data else {"random_uniform": PHASE_SEED_SCOPE})
+    _require(len(phases_data) == 1,
+             "initial_phases must be {'random_uniform': scope} or {'radians': [...]}")
     phases_rad: tuple[float, ...] | None
     scope = PHASE_SEED_SCOPE
-    if isinstance(phases_data, dict) and "random_uniform" in phases_data:
-        scope = str(phases_data["random_uniform"])
+    if "random_uniform" in phases_data:
+        scope = phases_data["random_uniform"]
+        _require(isinstance(scope, str),
+                 f"initial_phases.random_uniform must be a string, not {scope!r}")
         phases_rad = None
-    elif isinstance(phases_data, dict) and "radians" in phases_data:
+    else:
         raw = phases_data["radians"]
         _require(isinstance(raw, list), "initial_phases.radians must be a list")
         _require(len(raw) == n_legit,
@@ -134,8 +147,6 @@ def parse_scenario(data: dict) -> ScenarioConfig:
         phases_rad = tuple(read_number(x, "initial_phases.radians") for x in raw)
         _require(all(0.0 <= x <= TWO_PI for x in phases_rad),
                  "initial phases must lie in [0, 2*pi]")
-    else:
-        raise ConfigError("initial_phases must be {'random_uniform': scope} or {'radians': [...]}")
 
     default_horizon = DEFAULT_HORIZON_PERIODS * clock.ticks_per_period
     horizon = read_int(data.get("horizon_ticks", default_horizon), "horizon_ticks")
@@ -161,6 +172,9 @@ def parse_scenario(data: dict) -> ScenarioConfig:
 
 def _parse_attack_spec(data: dict, ids: tuple[int, ...]) -> adversary.AttackSpec:
     kind = data["kind"]
+    _require(kind in adversary.ATTACK_KINDS, f"unknown attack kind {kind!r}")
+    unknown = set(data) - _ATTACK_FIELDS[kind] - {"kind"}
+    _require(not unknown, f"unknown {kind} attack fields: {sorted(unknown)}")
     try:
         if kind == "scripted":
             ticks = data.get("ticks")
@@ -175,11 +189,14 @@ def _parse_attack_spec(data: dict, ids: tuple[int, ...]) -> adversary.AttackSpec
             _require(set(a for a, _ in scripted) <= set(ids),
                      "scripted ticks reference a non-attacker id")
             return adversary.AttackSpec(kind="scripted", attacker_ids=ids, scripted=scripted)
+        seed_scope = data.get("seed_scope", "attack")
+        _require(isinstance(seed_scope, str),
+                 f"attackers.attack.seed_scope must be a string, not {seed_scope!r}")
         common = dict(
             attacker_ids=ids,
             horizon_ticks=(read_int(data["horizon_ticks"], "attackers.attack.horizon_ticks")
                            if "horizon_ticks" in data else None),
-            seed_scope=str(data.get("seed_scope", "attack")),
+            seed_scope=seed_scope,
         )
         if kind == "random_budget":
             pulses = read_int(data["total_pulses"], "attackers.attack.total_pulses")
@@ -187,13 +204,11 @@ def _parse_attack_spec(data: dict, ids: tuple[int, ...]) -> adversary.AttackSpec
         if kind == "periodic":
             period = read_int(data["period_ticks"], "attackers.attack.period_ticks")
             return adversary.AttackSpec(kind=kind, period_ticks=period, **common)
-        if kind == "stealthy":
-            return adversary.AttackSpec(kind=kind, **common)
+        return adversary.AttackSpec(kind=kind, **common)  # stealthy
     except KeyError as exc:
         raise ConfigError(f"attack spec missing field {exc}") from None
     except adversary.ScheduleError as exc:
         raise ConfigError(str(exc)) from None
-    raise ConfigError(f"unknown attack kind {kind!r}")
 
 
 def canonical_dict(config: ScenarioConfig) -> dict:
@@ -257,7 +272,6 @@ def draw_initial_phases(config: ScenarioConfig, legit_ids) -> dict:
 
 @dataclass
 class RunArtifacts:
-    config: ScenarioConfig
     result: SimulationResult
     summary: RunSummary
 
@@ -270,7 +284,7 @@ def conditions_for(config: ScenarioConfig) -> ConditionReport | None:
 
 
 def build_simulation(config: ScenarioConfig):
-    """Materialize mechanisms, schedules and phases for one run."""
+    """Materialize mechanisms, schedules and phases for one run: (simulation, schedules)."""
     topo = config.topology
     attacker_set = set(config.attacker_ids)
     legit_ids = [i for i in range(topo.n) if i not in attacker_set]
@@ -298,11 +312,11 @@ def build_simulation(config: ScenarioConfig):
         attacker_ids=config.attacker_ids,
         schedules={s.attacker: s.ticks for s in schedules},
     )
-    return sim, phases, schedules
+    return sim, schedules
 
 
 def run_scenario(config: ScenarioConfig) -> RunArtifacts:
-    sim, phases, schedules = build_simulation(config)
+    sim, schedules = build_simulation(config)
     result = sim.run()
     summary = summarize_run(
         result,
@@ -310,11 +324,9 @@ def run_scenario(config: ScenarioConfig) -> RunArtifacts:
         config_digest=config_digest(config),
         mechanism=config.mechanism_kind,
         conditions=conditions_for(config),
-        initial_phases=phases,
         schedules_jsonable=adversary.schedules_to_jsonable(schedules),
-        horizon=config.horizon_ticks,
     )
-    return RunArtifacts(config=config, result=result, summary=summary)
+    return RunArtifacts(result=result, summary=summary)
 
 
 # -- sweeps ----------------------------------------------------------------

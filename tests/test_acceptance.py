@@ -323,13 +323,13 @@ def test_acceptance_09_attacker_pulses_alone_cannot_shift():
     state = OscillatorState(id=0, phase=0, phase_tick=reset, receive_log=deque(),
                             last_reset_to_zero_tick=reset)
     shifts = []
-    for seq, t in enumerate(pulses, start=1):
-        state.receive_log.append((t, seq))
-        while state.receive_log[0][0] < t - HALF:
+    for t in pulses:
+        state.receive_log.append(t)
+        while state.receive_log[0] < t - HALF:
             state.receive_log.popleft()
         state.phase = t - reset
         state.phase_tick = t
-        if mech.on_pulse(state, t, seq).kind == "shift":
+        if mech.on_pulse(state, t).kind == "shift":
             shifts.append(t)
     window_shifts = [t for t in shifts if reset + HALF <= t < reset + TPP]
     mech_ok = window_shifts == []

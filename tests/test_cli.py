@@ -194,8 +194,17 @@ BAD_SCENARIOS = {
     "coupling-string": with_fields(small_scenario(),
                                    mechanism={"kind": "conventional", "coupling": "x"}),
     "radians-strings": with_fields(small_scenario(), initial_phases={"radians": ["a"] * 8}),
-    "scripted-key": attacked_scenario(kind="scripted", ticks={"x": [5]}),
+    "scripted-key": with_fields(small_scenario(),
+                                attackers={"ids": [1], "attack": {"kind": "scripted",
+                                                                  "ticks": {"x": [5]}}}),
     "output-section": with_fields(small_scenario(), output={"arc_trace_in_summary": True}),
+    "attack-unknown-field": attacked_scenario(period_ticks=5),
+    "phases-unknown-field": with_fields(small_scenario(), initial_phases={
+        "random_uniform": "phases", "radians_typo": [1]}),
+    "phases-both-kinds": with_fields(small_scenario(), initial_phases={
+        "random_uniform": "phases", "radians": [0.1] * 8}),
+    "phases-scope-int": with_fields(small_scenario(), initial_phases={"random_uniform": 5}),
+    "seed-scope-int": attacked_scenario(seed_scope=7),
     **{f"topology-{name}": with_fields(small_scenario(), topology=topo)
        for name, topo in BAD_TOPOLOGIES.items()},
 }

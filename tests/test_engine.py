@@ -13,14 +13,14 @@ from pcosync.engine import (
     SHIFTED_TO_2PI,
     OscillatorState,
     Simulation,
-    receive_count,
 )
 from pcosync.mechanisms import (
     KIND_QUORUM_N,
     MechanismConfig,
     build_mechanism,
+    receive_count,
 )
-from pcosync.scenario import parse_scenario, run_scenario, with_seed
+from pcosync.scenario import build_simulation, parse_scenario, with_seed
 from pcosync.topology import build_circle_deployment, from_adjacency
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -64,13 +64,11 @@ def records_of(result, kind, node=None):
 
 
 def test_receive_count_windows():
-    state = OscillatorState(id=0, phase=0, receive_log=deque([(100, 1), (100, 2), (150, 3)]))
-    assert receive_count(state, 90, 150) == 3
-    assert receive_count(state, 100, 150) == 1  # open left endpoint drops tick 100
-    assert receive_count(state, 90, 150, before_seq=3) == 2
-    assert receive_count(state, 90, 150, lo_closed=True, hi_closed=False) == 3 - 1
-    assert receive_count(state, 100, 150, lo_closed=True) == 3
-    assert receive_count(state, 0, 99) == 0
+    state = OscillatorState(id=0, phase=0, receive_log=deque([100, 100, 150]))
+    assert receive_count(state, 90) == 3
+    assert receive_count(state, 100) == 1  # open left endpoint drops tick 100
+    assert receive_count(state, 150) == 0
+    assert receive_count(OscillatorState(id=0, phase=0), 0) == 0
 
 
 # -- small hand-traced scenarios ----------------------------------------------
@@ -209,23 +207,36 @@ def test_receive_logs_pruned_to_half_period():
     result = flagship_result()
     for state in result.states.values():
         if state.receive_log:
-            newest = state.receive_log[-1][0]
-            assert state.receive_log[0][0] >= newest - HALF
+            newest = state.receive_log[-1]
+            assert state.receive_log[0] >= newest - HALF
 
 
 def assert_receive_logs_hold_trailing_half_period(result):
-    # pulses to parked oscillators are logged when emitted, so same-tick
-    # entries may be out of seq order; as a set each log must still be every
-    # delivery within half a period of the oscillator's newest one
+    # each log must be the ticks of every delivery within half a period of
+    # the oscillator's newest one, oldest first (receive_count relies on it)
     half = result.clock.ticks_per_period // 2
     received = {i: [] for i in result.legit_ids}
     for r in records_of(result, RECEIVED):
         if r.node in received:
-            received[r.node].append((r.tick, r.seq))
-    for i, deliveries in received.items():
-        newest = max((tick for tick, _ in deliveries), default=0)
-        expected = sorted(d for d in deliveries if d[0] >= newest - half)
-        assert sorted(result.states[i].receive_log) == expected
+            received[r.node].append(r.tick)
+    for i, ticks in received.items():
+        newest = max(ticks, default=0)
+        assert list(result.states[i].receive_log) == [t for t in ticks if t >= newest - half]
+
+
+class ContractCheckingMechanism:
+    """Delegates to a mechanism and asserts the receive log at every ``on_pulse`` call."""
+
+    def __init__(self, inner, half, calls):
+        self.inner, self.half, self.calls = inner, half, calls
+        self.fires, self.on_reach_top = inner.fires, inner.on_reach_top
+
+    def on_pulse(self, state, now):
+        log = state.receive_log
+        assert log[-1] == now  # the pulse being handled is the newest entry
+        assert log[0] >= now - self.half  # pruned to the trailing half period
+        self.calls.append(now)
+        return self.inner.on_pulse(state, now)
 
 
 @pytest.mark.parametrize("config_name", [
@@ -236,7 +247,13 @@ def assert_receive_logs_hold_trailing_half_period(result):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_receive_log_holds_the_trailing_half_period_of_deliveries(config_name, seed):
     config = parse_scenario(json.loads((CONFIG_DIR / config_name).read_text()))
-    assert_receive_logs_hold_trailing_half_period(run_scenario(with_seed(config, seed)).result)
+    sim, _ = build_simulation(with_seed(config, seed))
+    half = sim.clock.ticks_per_period // 2
+    calls = []
+    sim.mechanisms = {i: ContractCheckingMechanism(m, half, calls)
+                      for i, m in sim.mechanisms.items()}
+    assert_receive_logs_hold_trailing_half_period(sim.run())
+    assert calls
 
 
 def test_receive_log_kept_while_parked_without_pulses():
@@ -245,7 +262,7 @@ def test_receive_log_kept_while_parked_without_pulses():
     topo = from_adjacency([[1], [0]])
     sim = quorum_n_sim(topo, {0: 0}, horizon=3 * TPP, attacker_ids=(1,), schedules={1: (10,)})
     result = sim.run()
-    assert list(result.states[0].receive_log) == [(10, 1)]
+    assert list(result.states[0].receive_log) == [10]
     assert_receive_logs_hold_trailing_half_period(result)
 
 
@@ -263,8 +280,8 @@ class CountingMechanism:
         self.counts["on_reach_top"][(self.node, now)] += 1
         return self.inner.on_reach_top(state, now)
 
-    def on_pulse(self, state, now, current_seq):
-        return self.inner.on_pulse(state, now, current_seq)
+    def on_pulse(self, state, now):
+        return self.inner.on_pulse(state, now)
 
 
 def test_each_top_reach_decided_once():

@@ -93,7 +93,7 @@ def test_conventional_jump_bounds():
 def test_reset_quorum_n_strictly_over():
     mech = quorum_n_mech()  # floor(24/3) = 8, reset needs more than 8
     now = 2 * TPP
-    nine = [(now - k, k) for k in range(1, 10)]
+    nine = [now - k for k in range(1, 10)]
     state = make_state(TPP, pulses=sorted(nine))
     assert mech.on_reach_top(state, now) == RESET_ZERO
     eight = sorted(nine)[:8]
@@ -104,7 +104,7 @@ def test_reset_quorum_n_strictly_over():
 def test_reset_quorum_degree_at_least():
     mech = quorum_degree_mech()  # floor(20/3) = 6, reset needs at least 6
     now = 2 * TPP
-    pulses = [(now - 5 + k, k) for k in range(7)]
+    pulses = [now - 5 + k for k in range(7)]
     state = make_state(TPP, pulses=pulses)
     assert mech.on_reach_top(state, now) == RESET_ZERO
     state = make_state(TPP, pulses=pulses[:6])
@@ -116,9 +116,9 @@ def test_reset_quorum_degree_at_least():
 def test_reset_window_is_open_left():
     mech = quorum_n_mech(n_total=2, degree=1)  # reset needs more than 0 pulses
     now = 2 * TPP
-    state = make_state(TPP, pulses=[(now - EPS, 1)])  # exactly at the open endpoint
+    state = make_state(TPP, pulses=[now - EPS])  # exactly at the open endpoint
     assert mech.on_reach_top(state, now) == RESET_PI
-    state = make_state(TPP, pulses=[(now - EPS + 1, 1)])
+    state = make_state(TPP, pulses=[now - EPS + 1])
     assert mech.on_reach_top(state, now) == RESET_ZERO
 
 
@@ -154,58 +154,58 @@ def test_pulse_shift_via_epsilon_window():
     # degree 20 in a 24-node network: respond after at least 20-16-1 = 3 pulses
     mech = quorum_n_mech()
     now = 2 * TPP
-    prior = [(now - 50, 1), (now - 40, 2), (now - 30, 3)]
-    state = make_state(int(0.6 * TPP), pulses=prior)
-    assert mech.on_pulse(state, now, 4).kind == "shift"
-    state = make_state(int(0.6 * TPP), pulses=prior[:2])
-    assert mech.on_pulse(state, now, 4).kind == "ignore"
+    prior = [now - 50, now - 40, now - 30]
+    state = make_state(int(0.6 * TPP), pulses=prior + [now])
+    assert mech.on_pulse(state, now).kind == "shift"
+    state = make_state(int(0.6 * TPP), pulses=prior[:2] + [now])
+    assert mech.on_pulse(state, now).kind == "ignore"
 
 
 def test_pulse_gate_lower_half_ignores():
     mech = quorum_n_mech()
     now = 2 * TPP
-    prior = [(now - 50, k) for k in range(1, 9)]
-    state = make_state(int(0.3 * TPP), pulses=prior)
-    assert mech.on_pulse(state, now, 9).kind == "ignore"
-    state = make_state(HALF, pulses=prior)  # boundary: pi itself is in the gate
-    assert mech.on_pulse(state, now, 9).kind == "shift"
+    pulses = [now - 50] * 8 + [now]
+    state = make_state(int(0.3 * TPP), pulses=pulses)
+    assert mech.on_pulse(state, now).kind == "ignore"
+    state = make_state(HALF, pulses=pulses)  # boundary: pi itself is in the gate
+    assert mech.on_pulse(state, now).kind == "shift"
 
 
 def test_pulse_half_period_rule_blocked_by_recent_zero_reset():
     mech = quorum_n_mech()
     now = 2 * TPP
     # three pulses spread wider than epsilon but inside the half period
-    prior = [(now - HALF + 10, 1), (now - HALF // 2, 2), (now - 3 * EPS, 3)]
-    state = make_state(int(0.8 * TPP), pulses=prior, last_zero=now - TPP // 4)
-    assert mech.on_pulse(state, now, 4).kind == "ignore"
-    state = make_state(int(0.8 * TPP), pulses=prior, last_zero=None)
-    assert mech.on_pulse(state, now, 4).kind == "shift"
+    pulses = [now - HALF + 10, now - HALF // 2, now - 3 * EPS, now]
+    state = make_state(int(0.8 * TPP), pulses=pulses, last_zero=now - TPP // 4)
+    assert mech.on_pulse(state, now).kind == "ignore"
+    state = make_state(int(0.8 * TPP), pulses=pulses, last_zero=None)
+    assert mech.on_pulse(state, now).kind == "shift"
     # a reset a full period ago sits outside the open blocking interval
-    state = make_state(int(0.8 * TPP), pulses=prior, last_zero=now - TPP)
-    assert mech.on_pulse(state, now, 4).kind == "shift"
+    state = make_state(int(0.8 * TPP), pulses=pulses, last_zero=now - TPP)
+    assert mech.on_pulse(state, now).kind == "shift"
     # a reset at the current instant does not disqualify either
-    state = make_state(int(0.8 * TPP), pulses=prior, last_zero=now)
-    assert mech.on_pulse(state, now, 4).kind == "shift"
+    state = make_state(int(0.8 * TPP), pulses=pulses, last_zero=now)
+    assert mech.on_pulse(state, now).kind == "shift"
 
 
-def test_pulse_counts_exclude_current_and_later():
+def test_pulse_counts_exclude_current():
     mech = quorum_n_mech()
     now = 2 * TPP
-    same_instant = [(now, 1), (now, 2), (now, 3), (now, 4)]
-    state = make_state(int(0.7 * TPP), pulses=same_instant)
-    # processing seq 4: three earlier pulses in the window -> shift
-    assert mech.on_pulse(state, now, 4).kind == "shift"
-    # processing seq 3: only two earlier -> ignore
-    assert mech.on_pulse(state, now, 3).kind == "ignore"
+    # the newest entry is the pulse being handled: three earlier same-instant
+    # pulses meet the quorum of 3, two do not
+    state = make_state(int(0.7 * TPP), pulses=[now] * 4)
+    assert mech.on_pulse(state, now).kind == "shift"
+    state = make_state(int(0.7 * TPP), pulses=[now] * 3)
+    assert mech.on_pulse(state, now).kind == "ignore"
 
 
 def test_conventional_pulse_jumps_any_phase():
     mech = conventional_mech(1.0)
-    state = make_state(int(0.3 * TPP))
-    action = mech.on_pulse(state, 100, 1)
+    state = make_state(int(0.3 * TPP), pulses=[100])
+    action = mech.on_pulse(state, 100)
     assert action.kind == "jump" and action.jump_to == 0
-    state = make_state(int(0.9 * TPP))
-    action = mech.on_pulse(state, 100, 1)
+    state = make_state(int(0.9 * TPP), pulses=[100])
+    action = mech.on_pulse(state, 100)
     assert action.kind == "jump" and action.jump_to == TPP
 
 
@@ -223,12 +223,11 @@ def test_raising_response_quorum_only_removes_shifts():
     low = quorum_n_mech(degree=20)
     high = quorum_n_mech(degree=21)
     now = 2 * TPP
-    trace = [(now - 400 + 7 * k, k + 1) for k in range(10)]
-    for upto in range(1, len(trace) + 1):
-        state = make_state(int(0.75 * TPP), pulses=trace[:upto])
-        seq = trace[upto - 1][1]
-        if high.on_pulse(state, now, seq).kind == "shift":
-            assert low.on_pulse(state, now, seq).kind == "shift"
+    trace = [now - 400 + 7 * k for k in range(10)]
+    for upto in range(len(trace)):
+        state = make_state(int(0.75 * TPP), pulses=trace[:upto] + [now])
+        if high.on_pulse(state, now).kind == "shift":
+            assert low.on_pulse(state, now).kind == "shift"
 
 
 def test_mechanism_config_validation():
