@@ -11,7 +11,7 @@ from .engine import (
     Simulation,
     SimulationResult,
 )
-from .mechanisms import MechanismConfig, apply_conventional_jump, build_mechanism, receive_count
+from .mechanisms import apply_conventional_jump, build_mechanism, read_mechanism, receive_count
 from .metrics import containing_arc, containing_arc_ticks, detect_sync, summarize_run
 from .scenario import (
     ScenarioConfig,

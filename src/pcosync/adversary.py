@@ -5,7 +5,7 @@ constraint is the channel's minimum separation, so consecutive emissions of
 one attacker must be spaced strictly more than ``epsilon_ticks`` apart.
 Generators cover a random budget spread over a window, strictly periodic
 trains, a one-pulse-per-half-period stealthy pattern, and verbatim scripted
-schedules.
+schedules. ``read_attack`` is the one reader of a scenario's attack section.
 """
 
 from __future__ import annotations
@@ -13,14 +13,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .core import TickClock
+from .core import ConfigError, TickClock, read_int
 
-ATTACK_KINDS = ("random_budget", "periodic", "stealthy", "scripted")
+# the fields each attack kind takes besides "kind"; seed_scope defaults to "attack"
+_ATTACK_FIELDS = {
+    "scripted": ("ticks",),
+    "random_budget": ("total_pulses", "horizon_ticks", "seed_scope"),
+    "periodic": ("period_ticks", "horizon_ticks", "seed_scope"),
+    "stealthy": ("horizon_ticks", "seed_scope"),
+}
 
 _MAX_RESAMPLES_PER_TICK = 1000
 
 
-class ScheduleError(ValueError):
+class ScheduleError(ConfigError):
     """Infeasible or invalid attack schedule specification."""
 
 
@@ -45,7 +51,7 @@ class AttackSpec:
     seed_scope: str = "attack"
 
     def __post_init__(self) -> None:
-        if self.kind not in ATTACK_KINDS:
+        if self.kind not in _ATTACK_FIELDS:
             raise ScheduleError(f"unknown attack kind {self.kind!r}")
         if len(set(self.attacker_ids)) != len(self.attacker_ids):
             raise ScheduleError("duplicate attacker ids")
@@ -56,6 +62,43 @@ class AttackSpec:
             raise ScheduleError("random_budget needs a nonnegative total_pulses")
         if self.kind == "periodic" and (self.period_ticks is None or self.period_ticks <= 0):
             raise ScheduleError("periodic needs a positive period_ticks")
+
+
+def read_attack(section, attacker_ids: tuple[int, ...]) -> tuple[AttackSpec, dict]:
+    """The spec of an ``attackers.attack`` config section and its canonical description.
+
+    The section takes exactly the fields its kind lists in ``_ATTACK_FIELDS``;
+    :class:`AttackSpec` rejects a missing field or a value out of range.
+    """
+    kind = section.get("kind") if isinstance(section, dict) else None
+    fields = _ATTACK_FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        raise ConfigError(f"unknown attack kind {kind!r}")
+    unknown = set(section) - {"kind", *fields}
+    if unknown:
+        raise ConfigError(f"unknown {kind} attack fields: {sorted(unknown)}")
+    if kind == "scripted":
+        ticks = section.get("ticks")
+        if not isinstance(ticks, dict):
+            raise ConfigError("scripted attack needs a 'ticks' mapping")
+        for a, ts in ticks.items():
+            if not (str(a).isdecimal() and isinstance(ts, list)):
+                raise ConfigError(f"scripted ticks must map attacker ids to tick lists (key {a!r})")
+        scripted = tuple(sorted(
+            (int(a), tuple(read_int(t, "attackers.attack.ticks") for t in ts))
+            for a, ts in ticks.items()
+        ))
+        if not {a for a, _ in scripted} <= set(attacker_ids):
+            raise ConfigError("scripted ticks reference a non-attacker id")
+        spec = AttackSpec(kind, attacker_ids, scripted=scripted)
+        return spec, {"kind": kind, "ticks": {str(a): list(ts) for a, ts in scripted}}
+    scope = section.get("seed_scope", "attack")
+    if not isinstance(scope, str):
+        raise ConfigError(f"attackers.attack.seed_scope must be a string, not {scope!r}")
+    numbers = {f: read_int(section[f], f"attackers.attack.{f}")
+               for f in fields if f in section and f != "seed_scope"}
+    spec = AttackSpec(kind, attacker_ids, seed_scope=scope, **numbers)
+    return spec, {"kind": kind, **{f: getattr(spec, f) for f in fields}}
 
 
 def validate_schedule(schedule: AttackSchedule, clock: TickClock) -> bool:

@@ -12,11 +12,11 @@ import json
 import sys
 from pathlib import Path
 
-from .adversary import ScheduleError
 from .core import TWO_PI, ConfigError
 from .engine import EngineError, RECEIVED
 from .metrics import containing_arc_ticks
 from .scenario import (
+    build_simulation,
     conditions_for,
     parse_scenario,
     parse_sweep,
@@ -72,9 +72,10 @@ def _fmt9(x: float) -> str:
 
 def cmd_validate(args) -> int:
     config = _scenario_from_args(args)
+    build_simulation(config)  # rejects what `run` rejects, such as an attack that cannot be scheduled
     report = conditions_for(config)
     if report is None:
-        print(f"mechanism: {config.mechanism_kind}")
+        print(f"mechanism: {config.mechanism_desc['kind']}")
         print("no synchronization guarantee conditions apply to this mechanism")
         return EXIT_OK
     print(f"mechanism: {report.mechanism}")
@@ -245,7 +246,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(exc.message, file=sys.stderr)
         return EXIT_USAGE
-    except (ConfigError, ScheduleError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EngineError as exc:

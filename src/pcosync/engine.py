@@ -103,7 +103,6 @@ class SimulationResult:
     initial_offsets: tuple[int, ...]
     final_offsets: tuple[int, ...]
     instants: list
-    states: dict
 
     def iter_records(self):
         """Log records in order; each ``fired`` is followed by one ``received`` per out-neighbor."""
@@ -232,7 +231,6 @@ class Simulation:
             initial_offsets=initial,
             final_offsets=self._offsets,
             instants=self._log,
-            states=states,
         )
 
     # -- instant resolution ------------------------------------------------

@@ -16,19 +16,19 @@ Three interchangeable behaviors plug into the engine:
 The quorum rules respond to a pulse only while the phase is in the upper
 half of the cycle, and only when enough earlier pulses arrived either in
 the trailing channel-separation window or in the trailing half period (the
-latter disabled for a full period after a reset to zero).
+latter disabled for a full period after a reset to zero). ``read_mechanism``
+is the one reader of a scenario's mechanism section.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import TickClock
+from .core import ConfigError, TickClock, read_int, read_number
 from .engine import OscillatorState
 from .topology import KIND_QUORUM_DEGREE, KIND_QUORUM_N
 
 KIND_CONVENTIONAL = "conventional"
-MECHANISM_KINDS = (KIND_CONVENTIONAL, KIND_QUORUM_N, KIND_QUORUM_DEGREE)
 
 RESET_ZERO = "zero"
 RESET_PI = "pi"
@@ -60,34 +60,6 @@ def receive_count(state: OscillatorState, after: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class MechanismConfig:
-    """Everything a single oscillator needs to make its decisions.
-
-    ``coupling`` applies to the conventional rule only; ``n_total`` only to
-    quorum_n; ``own_degree`` to both quorum rules. Values are injected at
-    construction — oscillators never read global state at runtime.
-    """
-
-    kind: str
-    clock: TickClock
-    coupling: float | None = None
-    n_total: int | None = None
-    own_degree: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in MECHANISM_KINDS:
-            raise ValueError(f"unknown mechanism kind {self.kind!r}")
-        if self.kind == KIND_CONVENTIONAL:
-            if self.coupling is None or not 0.0 < self.coupling <= 1.0:
-                raise ValueError("conventional mechanism needs coupling in (0, 1]")
-        else:
-            if self.own_degree is None or self.own_degree < 0:
-                raise ValueError(f"{self.kind} needs a nonnegative own_degree")
-            if self.kind == KIND_QUORUM_N and (self.n_total is None or self.n_total < 1):
-                raise ValueError("quorum_n needs the total oscillator count")
-
-
 def apply_conventional_jump(phase: int, coupling: float, ticks_per_period: int) -> int:
     """New phase in ticks after one conventionally-coupled pulse.
 
@@ -107,9 +79,9 @@ def apply_conventional_jump(phase: int, coupling: float, ticks_per_period: int) 
 class ConventionalPrf:
     """Jump on every pulse; fire and reset to zero whenever the top is reached."""
 
-    def __init__(self, config: MechanismConfig):
-        self.coupling = config.coupling
-        self.ticks_per_period = config.clock.ticks_per_period
+    def __init__(self, coupling: float, clock: TickClock):
+        self.coupling = coupling
+        self.ticks_per_period = clock.ticks_per_period
 
     def fires(self, state: OscillatorState, now: int) -> bool:
         return True
@@ -164,24 +136,56 @@ class QuorumMechanism:
         return IGNORE
 
 
-def build_mechanism(config: MechanismConfig):
-    """Instantiate the decision object for one oscillator."""
-    if config.kind == KIND_CONVENTIONAL:
-        return ConventionalPrf(config)
-    if config.kind == KIND_QUORUM_N:
+# the parameters each kind takes besides "kind": (reader, check, rule); the
+# quorum_degree rules take none, their quorums come from each node's degree
+_PARAMETERS = {
+    KIND_CONVENTIONAL: {"coupling": (read_number, lambda c: 0.0 < c <= 1.0, "lie in (0, 1]")},
+    KIND_QUORUM_N: {"n_known": (read_int, lambda n: n >= 1, "be positive")},
+    KIND_QUORUM_DEGREE: {},
+}
+
+
+def read_mechanism(section) -> dict:
+    """The canonical description of a ``mechanism`` config section: its kind and parameters."""
+    kind = section.get("kind") if isinstance(section, dict) else None
+    params = _PARAMETERS.get(kind) if isinstance(kind, str) else None
+    if params is None:
+        raise ConfigError(f"unknown mechanism kind {kind!r}")
+    if set(section) != {"kind", *params}:
+        raise ConfigError(f"{kind} mechanism takes exactly the fields {['kind', *params]}, "
+                          f"not {sorted(section)}")
+    description = {"kind": kind}
+    for name, (read, check, rule) in params.items():
+        description[name] = value = read(section[name], f"mechanism.{name}")
+        if not check(value):
+            raise ConfigError(f"mechanism.{name} must {rule}, not {value!r}")
+    return description
+
+
+def build_mechanism(description: dict, clock: TickClock, own_degree: int):
+    """The decision object of one oscillator of degree ``own_degree``.
+
+    ``description`` is a mechanism description as :func:`read_mechanism`
+    returns it. Oscillators never read global state at runtime.
+    """
+    kind = description["kind"]
+    if kind == KIND_CONVENTIONAL:
+        return ConventionalPrf(description["coupling"], clock)
+    if kind == KIND_QUORUM_N:
         # reset to zero on more than floor(N/3) pulses; respond to a pulse
         # after at least own_degree - floor(2N/3) - 1 earlier ones
+        n_known = description["n_known"]
         return QuorumMechanism(
-            config.kind,
-            reset_over=config.n_total // 3,
-            response_quorum=config.own_degree - (2 * config.n_total) // 3 - 1,
-            clock=config.clock,
+            kind,
+            reset_over=n_known // 3,
+            response_quorum=own_degree - (2 * n_known) // 3 - 1,
+            clock=clock,
         )
     # quorum_degree: reset on at least floor(d/3) pulses, i.e. more than
     # floor(d/3) - 1; respond after at least floor(d/6) - 1 earlier ones
     return QuorumMechanism(
-        config.kind,
-        reset_over=config.own_degree // 3 - 1,
-        response_quorum=config.own_degree // 6 - 1,
-        clock=config.clock,
+        kind,
+        reset_over=own_degree // 3 - 1,
+        response_quorum=own_degree // 6 - 1,
+        clock=clock,
     )

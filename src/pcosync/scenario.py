@@ -2,11 +2,11 @@
 
 A scenario is a JSON document describing the clock, the topology, the
 mechanism, the attacker set with its traffic spec, the initial phases, the
-horizon and the seed. Parsing produces a validated ``ScenarioConfig`` that
-carries its built topology; its canonical form (defaults resolved, keys
-ordered) feeds the config digest, and sweep workers get the parsed base
-with only the seed replaced, so a run is reproducible from its digest
-inputs alone.
+horizon and the seed. Parsing produces a validated ``ScenarioConfig``; the
+topology, mechanism and attack sections are read by the modules that own
+their kinds. Its canonical form (defaults resolved) feeds the config digest,
+and sweep workers get the parsed base with only the seed replaced, so a run
+is reproducible from its digest inputs alone.
 """
 
 from __future__ import annotations
@@ -30,25 +30,16 @@ DEFAULT_HORIZON_PERIODS = 20
 
 PHASE_SEED_SCOPE = "phases"
 
-# the fields each attack kind takes besides "kind"
-_ATTACK_FIELDS = {
-    "scripted": {"ticks"},
-    "random_budget": {"total_pulses", "horizon_ticks", "seed_scope"},
-    "periodic": {"period_ticks", "horizon_ticks", "seed_scope"},
-    "stealthy": {"horizon_ticks", "seed_scope"},
-}
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     clock: TickClock
     topology_desc: dict
     topology: Topology = field(compare=False, repr=False)  # built from topology_desc
-    mechanism_kind: str
-    coupling: float | None
-    n_known: int | None
+    mechanism_desc: dict
     attacker_ids: tuple[int, ...]
-    attack_spec: adversary.AttackSpec | None
+    attack_desc: dict | None
+    attack_spec: adversary.AttackSpec | None = field(compare=False, repr=False)  # built from attack_desc
     initial_phases_rad: tuple[float, ...] | None  # None means random draw
     phase_seed_scope: str
     horizon_ticks: int
@@ -92,38 +83,19 @@ def parse_scenario(data: dict) -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError(f"bad topology: {exc}") from None
 
-    mech = _section(data, "mechanism", {"kind", "coupling", "n_known"})
-    _require("kind" in mech, "scenario needs mechanism.kind")
-    kind = mech["kind"]
-    _require(kind in mechanisms.MECHANISM_KINDS, f"unknown mechanism kind {kind!r}")
-    coupling = mech.get("coupling")
-    n_known = mech.get("n_known")
-    if kind == mechanisms.KIND_CONVENTIONAL:
-        _require(coupling is not None, "conventional mechanism needs 'coupling'")
-        coupling = read_number(coupling, "mechanism.coupling")
-        _require(0.0 < coupling <= 1.0, "coupling must lie in (0, 1]")
-    else:
-        _require(coupling is None, f"{kind} does not take 'coupling'")
-    if kind == mechanisms.KIND_QUORUM_N:
-        _require(n_known is not None, "quorum_n needs 'n_known' (total oscillator count)")
-        n_known = read_int(n_known, "mechanism.n_known")
-        _require(n_known >= 1, "n_known must be positive")
-    else:
-        _require(n_known is None, f"{kind} does not take 'n_known'")
+    _require("mechanism" in data, "scenario needs a mechanism section")
+    mechanism_desc = mechanisms.read_mechanism(data["mechanism"])
 
     attackers = _section(data, "attackers", {"ids", "attack"})
     raw_ids = attackers.get("ids", [])
     _require(isinstance(raw_ids, list), "attackers.ids must be a list")
     ids = tuple(sorted(read_int(i, "attackers.ids") for i in raw_ids))
-    _require(len(set(ids)) == len(ids), "duplicate attacker ids")
     _require(all(0 <= i < topo.n for i in ids), "attacker id outside the topology")
     _require(len(ids) < topo.n, "at least one oscillator must stay legitimate")
-    attack_spec = None
+    attack_spec = attack_desc = None
     if ids:
-        spec_data = attackers.get("attack")
-        _require(isinstance(spec_data, dict) and "kind" in spec_data,
-                 "attackers present but attackers.attack.kind missing")
-        attack_spec = _parse_attack_spec(spec_data, ids)
+        _require("attack" in attackers, "attackers present but attackers.attack missing")
+        attack_spec, attack_desc = adversary.read_attack(attackers["attack"], ids)
     else:
         _require("attack" not in attackers, "attack spec given without attacker ids")
 
@@ -158,57 +130,15 @@ def parse_scenario(data: dict) -> ScenarioConfig:
         clock=clock,
         topology_desc=topo_desc,
         topology=topo,
-        mechanism_kind=kind,
-        coupling=coupling,
-        n_known=n_known,
+        mechanism_desc=mechanism_desc,
         attacker_ids=ids,
+        attack_desc=attack_desc,
         attack_spec=attack_spec,
         initial_phases_rad=phases_rad,
         phase_seed_scope=scope,
         horizon_ticks=horizon,
         seed=seed,
     )
-
-
-def _parse_attack_spec(data: dict, ids: tuple[int, ...]) -> adversary.AttackSpec:
-    kind = data["kind"]
-    _require(kind in adversary.ATTACK_KINDS, f"unknown attack kind {kind!r}")
-    unknown = set(data) - _ATTACK_FIELDS[kind] - {"kind"}
-    _require(not unknown, f"unknown {kind} attack fields: {sorted(unknown)}")
-    try:
-        if kind == "scripted":
-            ticks = data.get("ticks")
-            _require(isinstance(ticks, dict), "scripted attack needs a 'ticks' mapping")
-            for a, ts in ticks.items():
-                _require(str(a).isdecimal() and isinstance(ts, list),
-                         f"scripted ticks must map attacker ids to tick lists (key {a!r})")
-            scripted = tuple(sorted(
-                (int(a), tuple(read_int(t, "attackers.attack.ticks") for t in ts))
-                for a, ts in ticks.items()
-            ))
-            _require(set(a for a, _ in scripted) <= set(ids),
-                     "scripted ticks reference a non-attacker id")
-            return adversary.AttackSpec(kind="scripted", attacker_ids=ids, scripted=scripted)
-        seed_scope = data.get("seed_scope", "attack")
-        _require(isinstance(seed_scope, str),
-                 f"attackers.attack.seed_scope must be a string, not {seed_scope!r}")
-        common = dict(
-            attacker_ids=ids,
-            horizon_ticks=(read_int(data["horizon_ticks"], "attackers.attack.horizon_ticks")
-                           if "horizon_ticks" in data else None),
-            seed_scope=seed_scope,
-        )
-        if kind == "random_budget":
-            pulses = read_int(data["total_pulses"], "attackers.attack.total_pulses")
-            return adversary.AttackSpec(kind=kind, total_pulses=pulses, **common)
-        if kind == "periodic":
-            period = read_int(data["period_ticks"], "attackers.attack.period_ticks")
-            return adversary.AttackSpec(kind=kind, period_ticks=period, **common)
-        return adversary.AttackSpec(kind=kind, **common)  # stealthy
-    except KeyError as exc:
-        raise ConfigError(f"attack spec missing field {exc}") from None
-    except adversary.ScheduleError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def canonical_dict(config: ScenarioConfig) -> dict:
@@ -219,27 +149,12 @@ def canonical_dict(config: ScenarioConfig) -> dict:
             "epsilon_ticks": config.clock.epsilon_ticks,
         },
         "topology": config.topology_desc,
-        "mechanism": {"kind": config.mechanism_kind},
+        "mechanism": config.mechanism_desc,
         "horizon_ticks": config.horizon_ticks,
         "seed": config.seed,
     }
-    if config.coupling is not None:
-        out["mechanism"]["coupling"] = config.coupling
-    if config.n_known is not None:
-        out["mechanism"]["n_known"] = config.n_known
     if config.attacker_ids:
-        spec = config.attack_spec
-        attack: dict = {"kind": spec.kind}
-        if spec.kind == "scripted":
-            attack["ticks"] = {str(a): list(ts) for a, ts in spec.scripted}
-        else:
-            attack["horizon_ticks"] = spec.horizon_ticks
-            attack["seed_scope"] = spec.seed_scope
-            if spec.kind == "random_budget":
-                attack["total_pulses"] = spec.total_pulses
-            if spec.kind == "periodic":
-                attack["period_ticks"] = spec.period_ticks
-        out["attackers"] = {"ids": list(config.attacker_ids), "attack": attack}
+        out["attackers"] = {"ids": list(config.attacker_ids), "attack": config.attack_desc}
     if config.initial_phases_rad is None:
         out["initial_phases"] = {"random_uniform": config.phase_seed_scope}
     else:
@@ -277,10 +192,10 @@ class RunArtifacts:
 
 
 def conditions_for(config: ScenarioConfig) -> ConditionReport | None:
-    if config.mechanism_kind == mechanisms.KIND_CONVENTIONAL:
+    kind = config.mechanism_desc["kind"]
+    if kind == mechanisms.KIND_CONVENTIONAL:
         return None
-    return topo_mod.check_sync_conditions(
-        config.topology, config.mechanism_kind, len(config.attacker_ids))
+    return topo_mod.check_sync_conditions(config.topology, kind, len(config.attacker_ids))
 
 
 def build_simulation(config: ScenarioConfig):
@@ -288,16 +203,10 @@ def build_simulation(config: ScenarioConfig):
     topo = config.topology
     attacker_set = set(config.attacker_ids)
     legit_ids = [i for i in range(topo.n) if i not in attacker_set]
-    mechs = {}
-    for i in legit_ids:
-        mc = mechanisms.MechanismConfig(
-            kind=config.mechanism_kind,
-            clock=config.clock,
-            coupling=config.coupling,
-            n_total=config.n_known,
-            own_degree=topo.degree[i],
-        )
-        mechs[i] = mechanisms.build_mechanism(mc)
+    mechs = {
+        i: mechanisms.build_mechanism(config.mechanism_desc, config.clock, topo.degree[i])
+        for i in legit_ids
+    }
     phases = draw_initial_phases(config, legit_ids)
     schedules = []
     if config.attack_spec is not None:
@@ -322,7 +231,7 @@ def run_scenario(config: ScenarioConfig) -> RunArtifacts:
         result,
         seed=config.seed,
         config_digest=config_digest(config),
-        mechanism=config.mechanism_kind,
+        mechanism=config.mechanism_desc["kind"],
         conditions=conditions_for(config),
         schedules_jsonable=adversary.schedules_to_jsonable(schedules),
     )

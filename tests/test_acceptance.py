@@ -19,7 +19,7 @@ from pcosync.engine import (
     OscillatorState,
     Simulation,
 )
-from pcosync.mechanisms import KIND_QUORUM_N, MechanismConfig, build_mechanism
+from pcosync.mechanisms import KIND_QUORUM_N, build_mechanism
 from pcosync.metrics import common_fire_ticks, containing_arc_ticks, detect_sync
 from pcosync.scenario import parse_scenario, parse_sweep, run_scenario, run_sweep
 from pcosync.topology import build_circle_deployment, from_adjacency
@@ -307,9 +307,7 @@ def test_acceptance_08_byte_determinism(tmp_path):
 def test_acceptance_09_attacker_pulses_alone_cannot_shift():
     # mechanism-level check with the reference parameters: n=24, degree 20,
     # response quorum 20 - 16 - 1 = 3 = attacker count
-    mech = build_mechanism(
-        MechanismConfig(kind=KIND_QUORUM_N, clock=CLOCK, n_total=24, own_degree=20)
-    )
+    mech = build_mechanism({"kind": KIND_QUORUM_N, "n_known": 24}, CLOCK, 20)
     attacker_count = 20 - (2 * 24) // 3 - 1
     reset = 10 * TPP  # the oscillator reset to zero at this instant
     rng = Random(17)
@@ -341,9 +339,7 @@ def test_acceptance_09_attacker_pulses_alone_cannot_shift():
     sim = Simulation(
         clock=CLOCK,
         topology=topo,
-        mechanisms={0: build_mechanism(
-            MechanismConfig(kind=KIND_QUORUM_N, clock=CLOCK, n_total=1, own_degree=4)
-        )},
+        mechanisms={0: build_mechanism({"kind": KIND_QUORUM_N, "n_known": 1}, CLOCK, 4)},
         initial_phases={0: 0},
         horizon=2 * TPP,
         attacker_ids=(1, 2, 3),

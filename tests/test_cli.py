@@ -176,6 +176,13 @@ def with_fields(data, **fields):
     return data
 
 
+def shipped_with_attack(**attack):
+    # a config that `validate` passes (exit 0) unless its attack cannot be scheduled
+    data = json.loads((CONFIG_DIR / "circle24_quorum_n_attacked.json").read_text())
+    data["attackers"]["attack"] = attack
+    return data
+
+
 BAD_TOPOLOGIES = {
     "float-node-index": {"kind": "explicit", "adjacency": [[1], [0.5]]},
     "bool-node-index": {"kind": "explicit", "adjacency": [[True], [0]]},
@@ -205,6 +212,11 @@ BAD_SCENARIOS = {
         "random_uniform": "phases", "radians": [0.1] * 8}),
     "phases-scope-int": with_fields(small_scenario(), initial_phases={"random_uniform": 5}),
     "seed-scope-int": attacked_scenario(seed_scope=7),
+    "scripted-closer-than-epsilon": shipped_with_attack(kind="scripted", ticks={"1": [5, 6]}),
+    "periodic-below-epsilon": shipped_with_attack(kind="periodic", period_ticks=5,
+                                                  horizon_ticks=1_000_000),
+    "budget-over-capacity": shipped_with_attack(kind="random_budget", total_pulses=1_000_000,
+                                                horizon_ticks=100_000),
     **{f"topology-{name}": with_fields(small_scenario(), topology=topo)
        for name, topo in BAD_TOPOLOGIES.items()},
 }

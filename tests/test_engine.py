@@ -16,7 +16,6 @@ from pcosync.engine import (
 )
 from pcosync.mechanisms import (
     KIND_QUORUM_N,
-    MechanismConfig,
     build_mechanism,
     receive_count,
 )
@@ -35,13 +34,13 @@ def quorum_n_sim(topology, phases, horizon, n_total=None, attacker_ids=(),
                  schedules=None, degree_override=None, clock=CLOCK):
     attacker_set = set(attacker_ids)
     legit = [i for i in range(topology.n) if i not in attacker_set]
+    mechanism = {"kind": KIND_QUORUM_N, "n_known": n_total if n_total is not None else topology.n}
     mechs = {
-        i: build_mechanism(MechanismConfig(
-            kind=KIND_QUORUM_N,
-            clock=clock,
-            n_total=n_total if n_total is not None else topology.n,
-            own_degree=degree_override if degree_override is not None else topology.degree[i],
-        ))
+        i: build_mechanism(
+            mechanism,
+            clock,
+            degree_override if degree_override is not None else topology.degree[i],
+        )
         for i in legit
     }
     return Simulation(
@@ -204,16 +203,19 @@ def test_received_seq_strictly_increasing():
 
 
 def test_receive_logs_pruned_to_half_period():
-    result = flagship_result()
-    for state in result.states.values():
+    sim = flagship_sim()
+    sim.run()
+    for state in sim._states.values():
         if state.receive_log:
             newest = state.receive_log[-1]
             assert state.receive_log[0] >= newest - HALF
 
 
-def assert_receive_logs_hold_trailing_half_period(result):
-    # each log must be the ticks of every delivery within half a period of
-    # the oscillator's newest one, oldest first (receive_count relies on it)
+def assert_receive_logs_hold_trailing_half_period(sim):
+    # runs sim; each final log must be the ticks of every delivery within half
+    # a period of the oscillator's newest one, oldest first (receive_count
+    # relies on it)
+    result = sim.run()
     half = result.clock.ticks_per_period // 2
     received = {i: [] for i in result.legit_ids}
     for r in records_of(result, RECEIVED):
@@ -221,7 +223,7 @@ def assert_receive_logs_hold_trailing_half_period(result):
             received[r.node].append(r.tick)
     for i, ticks in received.items():
         newest = max(ticks, default=0)
-        assert list(result.states[i].receive_log) == [t for t in ticks if t >= newest - half]
+        assert list(sim._states[i].receive_log) == [t for t in ticks if t >= newest - half]
 
 
 class ContractCheckingMechanism:
@@ -252,7 +254,7 @@ def test_receive_log_holds_the_trailing_half_period_of_deliveries(config_name, s
     calls = []
     sim.mechanisms = {i: ContractCheckingMechanism(m, half, calls)
                       for i, m in sim.mechanisms.items()}
-    assert_receive_logs_hold_trailing_half_period(sim.run())
+    assert_receive_logs_hold_trailing_half_period(sim)
     assert calls
 
 
@@ -261,9 +263,8 @@ def test_receive_log_kept_while_parked_without_pulses():
     # reaching the top must not prune the log by the wrap tick
     topo = from_adjacency([[1], [0]])
     sim = quorum_n_sim(topo, {0: 0}, horizon=3 * TPP, attacker_ids=(1,), schedules={1: (10,)})
-    result = sim.run()
-    assert list(result.states[0].receive_log) == [10]
-    assert_receive_logs_hold_trailing_half_period(result)
+    assert_receive_logs_hold_trailing_half_period(sim)
+    assert list(sim._states[0].receive_log) == [10]
 
 
 class CountingMechanism:
@@ -351,7 +352,7 @@ def test_attacker_pulses_alone_never_shift_after_zero_reset():
 
 def test_simulation_input_validation():
     topo = from_adjacency([[1], [0]])
-    mech = build_mechanism(MechanismConfig(kind=KIND_QUORUM_N, clock=CLOCK, n_total=2, own_degree=1))
+    mech = build_mechanism({"kind": KIND_QUORUM_N, "n_known": 2}, CLOCK, 1)
     with pytest.raises(ValueError):
         Simulation(CLOCK, topo, {0: mech}, {0: 0}, horizon=0)
     with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from pcosync.mechanisms import (
     KIND_QUORUM_N,
     RESET_PI,
     RESET_ZERO,
-    MechanismConfig,
     apply_conventional_jump,
     build_mechanism,
 )
@@ -35,21 +34,15 @@ def make_state(phase, pulses=(), last_fire=None, last_zero=None):
 
 
 def quorum_n_mech(n_total=24, degree=20):
-    return build_mechanism(
-        MechanismConfig(kind=KIND_QUORUM_N, clock=CLOCK, n_total=n_total, own_degree=degree)
-    )
+    return build_mechanism({"kind": KIND_QUORUM_N, "n_known": n_total}, CLOCK, degree)
 
 
 def quorum_degree_mech(degree=20):
-    return build_mechanism(
-        MechanismConfig(kind=KIND_QUORUM_DEGREE, clock=CLOCK, own_degree=degree)
-    )
+    return build_mechanism({"kind": KIND_QUORUM_DEGREE}, CLOCK, degree)
 
 
 def conventional_mech(coupling):
-    return build_mechanism(
-        MechanismConfig(kind=KIND_CONVENTIONAL, clock=CLOCK, coupling=coupling)
-    )
+    return build_mechanism({"kind": KIND_CONVENTIONAL, "coupling": coupling}, CLOCK, 0)
 
 
 # -- phase response curve ----------------------------------------------------
@@ -228,16 +221,3 @@ def test_raising_response_quorum_only_removes_shifts():
         state = make_state(int(0.75 * TPP), pulses=trace[:upto] + [now])
         if high.on_pulse(state, now).kind == "shift":
             assert low.on_pulse(state, now).kind == "shift"
-
-
-def test_mechanism_config_validation():
-    with pytest.raises(ValueError):
-        MechanismConfig(kind="nope", clock=CLOCK)
-    with pytest.raises(ValueError):
-        MechanismConfig(kind=KIND_CONVENTIONAL, clock=CLOCK)  # missing coupling
-    with pytest.raises(ValueError):
-        MechanismConfig(kind=KIND_CONVENTIONAL, clock=CLOCK, coupling=1.5)
-    with pytest.raises(ValueError):
-        MechanismConfig(kind=KIND_QUORUM_N, clock=CLOCK, own_degree=20)  # missing n_total
-    with pytest.raises(ValueError):
-        MechanismConfig(kind=KIND_QUORUM_DEGREE, clock=CLOCK)  # missing own_degree

@@ -5,7 +5,7 @@ import pytest
 
 from pcosync.core import TWO_PI, TickClock
 from pcosync.engine import Simulation
-from pcosync.mechanisms import KIND_QUORUM_N, MechanismConfig, build_mechanism
+from pcosync.mechanisms import KIND_QUORUM_N, build_mechanism
 from pcosync.metrics import (
     common_fire_ticks,
     containing_arc,
@@ -125,9 +125,7 @@ def test_single_oscillator_sync_convention():
     # its wrap tick reaches the reset quorum, and the first reset to zero is
     # the synchronization instant by convention
     topo = from_adjacency([[1], [0]])
-    mech = build_mechanism(
-        MechanismConfig(kind=KIND_QUORUM_N, clock=CLOCK, n_total=2, own_degree=1)
-    )
+    mech = build_mechanism({"kind": KIND_QUORUM_N, "n_known": 2}, CLOCK, 1)
     sim = Simulation(
         clock=CLOCK, topology=topo, mechanisms={0: mech}, initial_phases={0: 0},
         horizon=3 * TPP, attacker_ids=(1,), schedules={1: (TPP,)},

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -27,12 +28,31 @@ BASE = {
     "seed": 1,
 }
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
-def test_parse_and_canonical_round_trip():
-    config = parse_scenario(BASE)
+
+def with_attack(**attack):
+    data = json.loads(json.dumps(BASE))
+    data["attackers"]["attack"] = attack
+    return data
+
+
+ROUND_TRIP = {
+    **{path.stem: json.loads(path.read_text()) for path in sorted(CONFIG_DIR.glob("circle24_*.json"))},
+    "sweep-base": json.loads((CONFIG_DIR / "sweep_quorum_n_attacked.json").read_text())["base"],
+    "scripted": with_attack(kind="scripted", ticks={"20": [7], "1": [5, 20_006]}),
+    "periodic": with_attack(kind="periodic", period_ticks=10_001, horizon_ticks=3_000_000),
+    "stealthy": with_attack(kind="stealthy", horizon_ticks=3e6, seed_scope="sneak"),
+}
+
+
+@pytest.mark.parametrize("scenario", ROUND_TRIP.values(), ids=ROUND_TRIP.keys())
+def test_parse_and_canonical_round_trip(scenario):
+    config = parse_scenario(scenario)
     data = canonical_dict(config)
     again = parse_scenario(data)
     assert again == config
+    assert again.attack_spec == config.attack_spec  # not part of the config's equality
     assert canonical_dict(again) == data
     assert config_digest(again) == config_digest(config)
 
@@ -75,6 +95,10 @@ def test_defaults_applied():
     (lambda d: d.update(initial_phases={"radians": [0.0]}), "radians"),
     (lambda d: d.update(bogus=1), "unknown"),
     (lambda d: d["clock"].update(epsilon_ticks=600_000), "clock"),
+    (lambda d: d["mechanism"].update(kind="nope"), "nope"),
+    (lambda d: d.update(mechanism={"kind": "conventional"}), "coupling"),
+    (lambda d: d.update(mechanism={"kind": "conventional", "coupling": 1.5}), "coupling"),
+    (lambda d: d["mechanism"].update(n_known=0), "n_known"),
 ])
 def test_parse_rejects_inconsistent_configs(mutate, fragment):
     data = json.loads(json.dumps(BASE))
