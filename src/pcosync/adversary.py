@@ -3,9 +3,12 @@
 A compromised node may emit any pulse train whatsoever; the only physical
 constraint is the channel's minimum separation, so consecutive emissions of
 one attacker must be spaced strictly more than ``epsilon_ticks`` apart.
-Generators cover a random budget spread over a window, strictly periodic
-trains, a one-pulse-per-half-period stealthy pattern, and verbatim scripted
-schedules. ``read_attack`` is the one reader of a scenario's attack section.
+``read_attack`` is the one reader of a scenario's attack section: it checks
+the section and returns its canonical description, the dict the config
+digest is built from. ``generate`` builds the schedules from a description:
+a random budget spread over a window, strictly periodic trains, a
+one-pulse-per-half-period stealthy pattern, or verbatim scripted schedules.
+It checks only what needs the clock or the RNG.
 """
 
 from __future__ import annotations
@@ -15,14 +18,17 @@ from random import Random
 
 from .core import ConfigError, TickClock, read_int
 
-# the fields each attack kind takes besides "kind"; seed_scope defaults to "attack"
+# the fields each attack kind takes besides "kind"; seed_scope defaults to SEED_SCOPE
 _ATTACK_FIELDS = {
     "scripted": ("ticks",),
     "random_budget": ("total_pulses", "horizon_ticks", "seed_scope"),
     "periodic": ("period_ticks", "horizon_ticks", "seed_scope"),
     "stealthy": ("horizon_ticks", "seed_scope"),
 }
+# the least value each integer field takes
+_LEAST = {"total_pulses": 0, "horizon_ticks": 0, "period_ticks": 1}
 
+SEED_SCOPE = "attack"
 _MAX_RESAMPLES_PER_TICK = 1000
 
 
@@ -38,37 +44,12 @@ class AttackSchedule:
     ticks: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class AttackSpec:
-    """Declarative description of the attack traffic for a scenario."""
+def read_attack(section, attacker_ids: tuple[int, ...]) -> dict:
+    """The canonical description of an ``attackers.attack`` config section.
 
-    kind: str
-    attacker_ids: tuple[int, ...]
-    total_pulses: int | None = None
-    horizon_ticks: int | None = None
-    period_ticks: int | None = None
-    scripted: tuple[tuple[int, tuple[int, ...]], ...] = ()
-    seed_scope: str = "attack"
-
-    def __post_init__(self) -> None:
-        if self.kind not in _ATTACK_FIELDS:
-            raise ScheduleError(f"unknown attack kind {self.kind!r}")
-        if len(set(self.attacker_ids)) != len(self.attacker_ids):
-            raise ScheduleError("duplicate attacker ids")
-        if self.kind in ("random_budget", "periodic", "stealthy"):
-            if self.horizon_ticks is None or self.horizon_ticks < 0:
-                raise ScheduleError(f"{self.kind} needs a nonnegative horizon_ticks")
-        if self.kind == "random_budget" and (self.total_pulses is None or self.total_pulses < 0):
-            raise ScheduleError("random_budget needs a nonnegative total_pulses")
-        if self.kind == "periodic" and (self.period_ticks is None or self.period_ticks <= 0):
-            raise ScheduleError("periodic needs a positive period_ticks")
-
-
-def read_attack(section, attacker_ids: tuple[int, ...]) -> tuple[AttackSpec, dict]:
-    """The spec of an ``attackers.attack`` config section and its canonical description.
-
-    The section takes exactly the fields its kind lists in ``_ATTACK_FIELDS``;
-    :class:`AttackSpec` rejects a missing field or a value out of range.
+    This is the one check of an attack section: the kind, exactly the fields
+    that kind lists in ``_ATTACK_FIELDS``, their types and ranges, and, for
+    ``scripted``, that each tick list belongs to a distinct attacker.
     """
     kind = section.get("kind") if isinstance(section, dict) else None
     fields = _ATTACK_FIELDS.get(kind) if isinstance(kind, str) else None
@@ -81,24 +62,30 @@ def read_attack(section, attacker_ids: tuple[int, ...]) -> tuple[AttackSpec, dic
         ticks = section.get("ticks")
         if not isinstance(ticks, dict):
             raise ConfigError("scripted attack needs a 'ticks' mapping")
+        scripted = {}
         for a, ts in ticks.items():
             if not (str(a).isdecimal() and isinstance(ts, list)):
                 raise ConfigError(f"scripted ticks must map attacker ids to tick lists (key {a!r})")
-        scripted = tuple(sorted(
-            (int(a), tuple(read_int(t, "attackers.attack.ticks") for t in ts))
-            for a, ts in ticks.items()
-        ))
-        if not {a for a, _ in scripted} <= set(attacker_ids):
+            if int(a) in scripted:
+                raise ConfigError(f"scripted ticks name attacker {int(a)} twice")
+            scripted[int(a)] = [read_int(t, "attackers.attack.ticks") for t in ts]
+        if not set(scripted) <= set(attacker_ids):
             raise ConfigError("scripted ticks reference a non-attacker id")
-        spec = AttackSpec(kind, attacker_ids, scripted=scripted)
-        return spec, {"kind": kind, "ticks": {str(a): list(ts) for a, ts in scripted}}
-    scope = section.get("seed_scope", "attack")
-    if not isinstance(scope, str):
-        raise ConfigError(f"attackers.attack.seed_scope must be a string, not {scope!r}")
-    numbers = {f: read_int(section[f], f"attackers.attack.{f}")
-               for f in fields if f in section and f != "seed_scope"}
-    spec = AttackSpec(kind, attacker_ids, seed_scope=scope, **numbers)
-    return spec, {"kind": kind, **{f: getattr(spec, f) for f in fields}}
+        return {"kind": kind, "ticks": {str(a): scripted[a] for a in sorted(scripted)}}
+    description = {"kind": kind}
+    for f in fields:
+        if f == "seed_scope":
+            value = section.get(f, SEED_SCOPE)
+            if not isinstance(value, str):
+                raise ConfigError(f"attackers.attack.seed_scope must be a string, not {value!r}")
+        elif f in section:
+            value = read_int(section[f], f"attackers.attack.{f}")
+            if value < _LEAST[f]:
+                raise ConfigError(f"attackers.attack.{f} must be at least {_LEAST[f]}, not {value}")
+        else:
+            raise ConfigError(f"{kind} attack needs {f}")
+        description[f] = value
+    return description
 
 
 def validate_schedule(schedule: AttackSchedule, clock: TickClock) -> bool:
@@ -139,13 +126,18 @@ def _enforce_separation(ticks: list[int], eps: int, horizon: int, rng: Random) -
         ticks.sort()
 
 
-def generate(spec: AttackSpec, clock: TickClock, rng: Random) -> list[AttackSchedule]:
-    """Produce one validated schedule per attacker, deterministically from rng."""
+def generate(description: dict, attacker_ids, clock: TickClock,
+             rng: Random) -> list[AttackSchedule]:
+    """One validated schedule per attacker, deterministically from rng.
+
+    ``description`` is an attack description as :func:`read_attack` returns it.
+    """
     eps = clock.epsilon_ticks
-    ids = list(spec.attacker_ids)
-    if spec.kind == "scripted":
-        scripted = dict(spec.scripted)
-        schedules = [AttackSchedule(a, tuple(scripted.get(a, ()))) for a in ids]
+    ids = list(attacker_ids)
+    kind = description["kind"]
+    if kind == "scripted":
+        scripted = description["ticks"]
+        schedules = [AttackSchedule(a, tuple(scripted.get(str(a), ()))) for a in ids]
         for s in schedules:
             if not validate_schedule(s, clock):
                 raise ScheduleError(
@@ -153,14 +145,15 @@ def generate(spec: AttackSpec, clock: TickClock, rng: Random) -> list[AttackSche
                 )
         return schedules
 
-    horizon = spec.horizon_ticks
-    if spec.kind == "periodic":
-        if spec.period_ticks <= eps:
+    horizon = description["horizon_ticks"]
+    if kind == "periodic":
+        period = description["period_ticks"]
+        if period <= eps:
             raise ScheduleError("periodic attack period must exceed epsilon_ticks")
-        ticks = tuple(range(0, horizon + 1, spec.period_ticks))
+        ticks = tuple(range(0, horizon + 1, period))
         return [AttackSchedule(a, ticks) for a in ids]
 
-    if spec.kind == "stealthy":
+    if kind == "stealthy":
         half = clock.ticks_per_period // 2
         schedules = []
         for a in ids:
@@ -182,17 +175,18 @@ def generate(spec: AttackSpec, clock: TickClock, rng: Random) -> list[AttackSche
 
     # random_budget: draw ticks uniformly over [0, horizon], deal them
     # round-robin over a shuffled attacker order, then repair separations
+    total = description["total_pulses"]
     if not ids:
-        if spec.total_pulses:
+        if total:
             raise ScheduleError("random_budget with pulses but no attackers")
         return []
-    per_attacker_max = -(-spec.total_pulses // len(ids))  # ceil
+    per_attacker_max = -(-total // len(ids))  # ceil
     if per_attacker_max > _capacity(horizon, eps):
         raise ScheduleError(
-            f"budget of {spec.total_pulses} pulses over {len(ids)} attackers exceeds the "
+            f"budget of {total} pulses over {len(ids)} attackers exceeds the "
             f"channel capacity of {_capacity(horizon, eps)} pulses per attacker"
         )
-    draws = [rng.randrange(horizon + 1) for _ in range(spec.total_pulses)]
+    draws = [rng.randrange(horizon + 1) for _ in range(total)]
     rng.shuffle(draws)
     order = list(ids)
     rng.shuffle(order)

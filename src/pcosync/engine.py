@@ -91,8 +91,9 @@ class OscillatorState:
 @dataclass
 class SimulationResult:
     """A completed run, kept as its instant log: one :class:`Instant` per
-    resolved tick, or the bare tick of a pop that found only stale wraps.
-    ``records`` and ``snapshots`` are derived from it on every access.
+    resolved tick; a pop that found only stale wraps logs the previous
+    offsets and no events. ``records`` and ``snapshots`` are derived from it
+    on every access.
     """
 
     clock: TickClock
@@ -108,11 +109,8 @@ class SimulationResult:
         """Log records in order; each ``fired`` is followed by one ``received`` per out-neighbor."""
         adjacency = self.adjacency
         seq = 0
-        for entry in self.instants:
-            if type(entry) is int:
-                continue
-            t = entry.tick
-            for kind, node in entry.events:
+        for t, _, events in self.instants:
+            for kind, node in events:
                 yield LogRecord(t, kind, node, None, None)
                 if kind == FIRED:
                     for r in adjacency[node]:
@@ -132,8 +130,7 @@ class SimulationResult:
         offsets = self.initial_offsets
         t = -1
         due = 0  # next cadence tick without a row
-        for entry in self.instants:
-            t, new = (entry, offsets) if type(entry) is int else entry[:2]
+        for t, new, _ in self.instants:
             for row in range(due, t, cadence):
                 yield row, offsets
             offsets = new
@@ -349,11 +346,8 @@ class Simulation:
             st.wrap_gen += 1
             heapq.heappush(queue, (t + tpp - st.phase, _PRIO_WRAP, i, st.wrap_gen))
 
-        if not events:
-            self._log.append(t)  # only stale wraps popped: nothing changed
-            return
         offsets = tuple([st.phase - st.phase_tick for st in self._legit_states])
         if offsets == self._offsets:
-            offsets = self._offsets  # nothing moved: share the previous tuple
+            offsets = self._offsets  # nothing moved (or only stale wraps popped): share the tuple
         self._offsets = offsets
         self._log.append(Instant(t, offsets, events))

@@ -58,17 +58,18 @@ def detect_sync(result: SimulationResult) -> int | None:
 
     Each condition holding at a tick holds at every later one, so a backward
     pass stops at the last nonzero arc, non-joint fire or off-period gap.
+    With two or more legitimate oscillators every joint-fire gap after the
+    returned tick is therefore exactly one period.
     """
     legit_set = set(result.legit_ids)
     n_legit = len(legit_set)
-    instants = [e for e in result.instants if type(e) is not int]  # stale pops change nothing
 
     if n_legit == 1:
-        return next((e.tick for e in instants if _tally(e.events, legit_set)[1]), None)
+        return next((e.tick for e in result.instants if _tally(e.events, legit_set)[1]), None)
 
     tpp = result.clock.ticks_per_period
     sync = next_fire = None
-    for entry in reversed(instants):
+    for entry in reversed(result.instants):
         offsets = entry.offsets
         if min(offsets) != max(offsets):
             break
@@ -87,8 +88,7 @@ def common_fire_ticks(result: SimulationResult, after: int = -1) -> list[int]:
     legit_set = set(result.legit_ids)
     return [
         e.tick for e in result.instants
-        if type(e) is not int and e.tick > after
-        and _tally(e.events, legit_set)[0] == len(legit_set)
+        if e.tick > after and _tally(e.events, legit_set)[0] == len(legit_set)
     ]
 
 
@@ -135,6 +135,11 @@ def summarize_run(
     conditions: ConditionReport | None,
     schedules_jsonable: dict,
 ) -> RunSummary:
+    """The summary of one run. With two or more legitimate oscillators,
+    ``periods_exact`` is never false once ``sync_tick`` is set (see
+    :func:`detect_sync`), so it is no evidence beyond ``sync_tick``; the
+    acceptance tests' ``verify_run_artifacts`` is the independent check.
+    """
     clock = result.clock
     tpp = clock.ticks_per_period
     sync_tick = detect_sync(result)

@@ -39,7 +39,6 @@ class ScenarioConfig:
     mechanism_desc: dict
     attacker_ids: tuple[int, ...]
     attack_desc: dict | None
-    attack_spec: adversary.AttackSpec | None = field(compare=False, repr=False)  # built from attack_desc
     initial_phases_rad: tuple[float, ...] | None  # None means random draw
     phase_seed_scope: str
     horizon_ticks: int
@@ -90,12 +89,13 @@ def parse_scenario(data: dict) -> ScenarioConfig:
     raw_ids = attackers.get("ids", [])
     _require(isinstance(raw_ids, list), "attackers.ids must be a list")
     ids = tuple(sorted(read_int(i, "attackers.ids") for i in raw_ids))
+    _require(len(set(ids)) == len(ids), "attackers.ids names an attacker twice")
     _require(all(0 <= i < topo.n for i in ids), "attacker id outside the topology")
     _require(len(ids) < topo.n, "at least one oscillator must stay legitimate")
-    attack_spec = attack_desc = None
+    attack_desc = None
     if ids:
         _require("attack" in attackers, "attackers present but attackers.attack missing")
-        attack_spec, attack_desc = adversary.read_attack(attackers["attack"], ids)
+        attack_desc = adversary.read_attack(attackers["attack"], ids)
     else:
         _require("attack" not in attackers, "attack spec given without attacker ids")
 
@@ -133,7 +133,6 @@ def parse_scenario(data: dict) -> ScenarioConfig:
         mechanism_desc=mechanism_desc,
         attacker_ids=ids,
         attack_desc=attack_desc,
-        attack_spec=attack_spec,
         initial_phases_rad=phases_rad,
         phase_seed_scope=scope,
         horizon_ticks=horizon,
@@ -209,9 +208,10 @@ def build_simulation(config: ScenarioConfig):
     }
     phases = draw_initial_phases(config, legit_ids)
     schedules = []
-    if config.attack_spec is not None:
-        rng = Random(scoped_seed(config.seed, config.attack_spec.seed_scope))
-        schedules = adversary.generate(config.attack_spec, config.clock, rng)
+    if config.attack_desc is not None:
+        scope = config.attack_desc.get("seed_scope", adversary.SEED_SCOPE)  # scripted has none
+        rng = Random(scoped_seed(config.seed, scope))
+        schedules = adversary.generate(config.attack_desc, config.attacker_ids, config.clock, rng)
     sim = Simulation(
         clock=config.clock,
         topology=topo,

@@ -4,17 +4,22 @@ import pytest
 
 from pcosync.adversary import (
     AttackSchedule,
-    AttackSpec,
     ScheduleError,
     generate,
+    read_attack,
     schedules_to_jsonable,
     validate_schedule,
 )
-from pcosync.core import TickClock
+from pcosync.core import ConfigError, TickClock
 
 CLOCK = TickClock()
 TPP = CLOCK.ticks_per_period
 EPS = CLOCK.epsilon_ticks
+
+
+def schedules_of(ids, seed=0, **section):
+    """The schedules an ``attackers.attack`` section gives attackers ``ids``."""
+    return generate(read_attack(section, ids), ids, CLOCK, Random(seed))
 
 
 def test_validate_schedule():
@@ -26,9 +31,8 @@ def test_validate_schedule():
 
 
 def test_random_budget_reference_campaign():
-    spec = AttackSpec(kind="random_budget", attacker_ids=(1, 8, 20),
-                      total_pulses=40, horizon_ticks=3_500_000)
-    schedules = generate(spec, CLOCK, Random(42))
+    schedules = schedules_of((1, 8, 20), 42, kind="random_budget",
+                             total_pulses=40, horizon_ticks=3_500_000)
     assert sum(len(s.ticks) for s in schedules) == 40
     for s in schedules:
         assert validate_schedule(s, CLOCK)
@@ -39,11 +43,10 @@ def test_random_budget_reference_campaign():
 
 
 def test_random_budget_is_pure_function_of_seed():
-    spec = AttackSpec(kind="random_budget", attacker_ids=(1, 8, 20),
-                      total_pulses=40, horizon_ticks=3_500_000)
-    a = generate(spec, CLOCK, Random(7))
-    b = generate(spec, CLOCK, Random(7))
-    c = generate(spec, CLOCK, Random(8))
+    section = {"kind": "random_budget", "total_pulses": 40, "horizon_ticks": 3_500_000}
+    a = schedules_of((1, 8, 20), 7, **section)
+    b = schedules_of((1, 8, 20), 7, **section)
+    c = schedules_of((1, 8, 20), 8, **section)
     assert a == b
     assert a != c
 
@@ -51,31 +54,24 @@ def test_random_budget_is_pure_function_of_seed():
 def test_random_budget_capacity_bound():
     horizon = 10 * EPS
     cap = horizon // (EPS + 1) + 1
-    spec = AttackSpec(kind="random_budget", attacker_ids=(0,),
-                      total_pulses=cap + 1, horizon_ticks=horizon)
     with pytest.raises(ScheduleError):
-        generate(spec, CLOCK, Random(1))
-    ok = AttackSpec(kind="random_budget", attacker_ids=(0,),
-                    total_pulses=cap, horizon_ticks=horizon)
-    schedules = generate(ok, CLOCK, Random(1))
+        schedules_of((0,), 1, kind="random_budget", total_pulses=cap + 1, horizon_ticks=horizon)
+    schedules = schedules_of((0,), 1, kind="random_budget", total_pulses=cap,
+                             horizon_ticks=horizon)
     assert validate_schedule(schedules[0], CLOCK)
 
 
 def test_periodic():
-    spec = AttackSpec(kind="periodic", attacker_ids=(3,),
-                      period_ticks=TPP // 4, horizon_ticks=2 * TPP)
-    (schedule,) = generate(spec, CLOCK, Random(0))
+    (schedule,) = schedules_of((3,), kind="periodic", period_ticks=TPP // 4,
+                               horizon_ticks=2 * TPP)
     assert schedule.ticks == tuple(range(0, 2 * TPP + 1, TPP // 4))
     assert len(schedule.ticks) == 9
-    bad = AttackSpec(kind="periodic", attacker_ids=(3,),
-                     period_ticks=EPS, horizon_ticks=TPP)
     with pytest.raises(ScheduleError):
-        generate(bad, CLOCK, Random(0))
+        schedules_of((3,), kind="periodic", period_ticks=EPS, horizon_ticks=TPP)
 
 
 def test_stealthy_one_pulse_per_half_period():
-    spec = AttackSpec(kind="stealthy", attacker_ids=(0, 1), horizon_ticks=4 * TPP)
-    schedules = generate(spec, CLOCK, Random(5))
+    schedules = schedules_of((0, 1), 5, kind="stealthy", horizon_ticks=4 * TPP)
     half = TPP // 2
     for s in schedules:
         assert validate_schedule(s, CLOCK)
@@ -85,22 +81,24 @@ def test_stealthy_one_pulse_per_half_period():
 
 
 def test_scripted_passthrough_and_boundary():
-    spec = AttackSpec(kind="scripted", attacker_ids=(2, 5),
-                      scripted=((2, (0, 2 * EPS)), (5, ())))
-    schedules = generate(spec, CLOCK, Random(0))
+    schedules = schedules_of((2, 5), kind="scripted", ticks={"2": [0, 2 * EPS], "5": []})
     assert schedules == [AttackSchedule(2, (0, 2 * EPS)), AttackSchedule(5, ())]
-    bad = AttackSpec(kind="scripted", attacker_ids=(2,), scripted=((2, (0, EPS)),))
-    with pytest.raises(ScheduleError):
-        generate(bad, CLOCK, Random(0))  # gap exactly epsilon is not strictly greater
+    with pytest.raises(ScheduleError):  # gap exactly epsilon is not strictly greater
+        schedules_of((2,), kind="scripted", ticks={"2": [0, EPS]})
 
 
-def test_spec_validation():
-    with pytest.raises(ScheduleError):
-        AttackSpec(kind="bogus", attacker_ids=(1,))
-    with pytest.raises(ScheduleError):
-        AttackSpec(kind="random_budget", attacker_ids=(1, 1), total_pulses=5, horizon_ticks=100)
-    with pytest.raises(ScheduleError):
-        AttackSpec(kind="periodic", attacker_ids=(1,), horizon_ticks=100)
+@pytest.mark.parametrize("section,fragment", [
+    ({"kind": "bogus"}, "bogus"),
+    ({"kind": "periodic", "horizon_ticks": 100}, "period_ticks"),
+    ({"kind": "periodic", "period_ticks": 0, "horizon_ticks": 100}, "period_ticks"),
+    ({"kind": "random_budget", "total_pulses": -1, "horizon_ticks": 100}, "total_pulses"),
+    ({"kind": "random_budget", "total_pulses": 5, "horizon_ticks": -1}, "horizon_ticks"),
+    ({"kind": "stealthy", "horizon_ticks": -1}, "horizon_ticks"),
+])
+def test_read_attack_rejects(section, fragment):
+    with pytest.raises(ConfigError) as err:
+        read_attack(section, (1,))
+    assert fragment in str(err.value)
 
 
 def test_jsonable_round_trip():
@@ -108,7 +106,5 @@ def test_jsonable_round_trip():
     data = schedules_to_jsonable(schedules)
     assert data == {"8": [1, 20_002], "1": [5]}
     # replayed as a scripted attack, the mapping gives back the same schedules
-    scripted = tuple(sorted((int(a), tuple(ts)) for a, ts in data.items()))
-    back = generate(AttackSpec(kind="scripted", attacker_ids=(1, 8), scripted=scripted),
-                    CLOCK, Random(0))
+    back = schedules_of((1, 8), kind="scripted", ticks=data)
     assert back == [AttackSchedule(1, (5,)), AttackSchedule(8, (1, 20_002))]
