@@ -11,7 +11,14 @@ from .engine import (
     Simulation,
     SimulationResult,
 )
-from .mechanisms import apply_conventional_jump, build_mechanism, read_mechanism, receive_count
+from .mechanisms import (
+    ConditionReport,
+    apply_conventional_jump,
+    build_mechanism,
+    check_sync_conditions,
+    read_mechanism,
+    receive_count,
+)
 from .metrics import containing_arc, containing_arc_ticks, detect_sync, summarize_run
 from .scenario import (
     ScenarioConfig,
@@ -22,13 +29,6 @@ from .scenario import (
     run_scenario,
     run_sweep,
 )
-from .topology import (
-    ConditionReport,
-    Topology,
-    build_circle_deployment,
-    check_sync_conditions,
-    from_adjacency,
-    load_topology,
-)
+from .topology import Topology, build_circle_deployment, from_adjacency, load_topology
 
 __version__ = "0.1.0"

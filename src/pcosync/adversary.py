@@ -22,7 +22,7 @@ from .core import ConfigError, TickClock, read_int
 _ATTACK_FIELDS = {
     "scripted": ("ticks",),
     "random_budget": ("total_pulses", "horizon_ticks", "seed_scope"),
-    "periodic": ("period_ticks", "horizon_ticks", "seed_scope"),
+    "periodic": ("period_ticks", "horizon_ticks"),
     "stealthy": ("horizon_ticks", "seed_scope"),
 }
 # the least value each integer field takes

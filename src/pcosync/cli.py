@@ -175,10 +175,7 @@ def cmd_sweep(args) -> int:
 def cmd_topology(args) -> int:
     data = _load_json(args.config)
     desc = data.get("topology", data)  # accept a bare topology document too
-    try:
-        topo, _ = load_topology(desc)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    topo, _ = load_topology(desc)
     if args.format == "json":
         out = {
             "n": topo.n,

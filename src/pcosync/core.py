@@ -4,8 +4,8 @@ All simulation time and all oscillator phases are integer ticks. One
 free-running oscillation period (2*pi seconds of phase at unit angular
 speed) spans ``ticks_per_period`` ticks, so simultaneity, interval
 endpoints and phase equality are exact integer comparisons; floats appear
-only at the reporting boundary. The config readers here are shared by the
-scenario and topology parsers.
+only at the reporting boundary. ``ConfigError`` and the config readers here
+are shared by every section reader, and ``TickClock`` raises it itself.
 """
 
 from __future__ import annotations
@@ -14,6 +14,10 @@ import math
 from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
+
+
+class ConfigError(ValueError):
+    """Malformed or inconsistent scenario/sweep configuration."""
 
 
 @dataclass(frozen=True)
@@ -32,10 +36,10 @@ class TickClock:
     def __post_init__(self) -> None:
         tpp = self.ticks_per_period
         if not isinstance(tpp, int) or tpp <= 0 or tpp % 2 != 0:
-            raise ValueError("ticks_per_period must be a positive even integer")
+            raise ConfigError("clock.ticks_per_period must be a positive even integer")
         eps = self.epsilon_ticks
         if not isinstance(eps, int) or eps <= 0 or eps >= tpp // 2:
-            raise ValueError("epsilon_ticks must satisfy 0 < epsilon < ticks_per_period/2")
+            raise ConfigError("clock.epsilon_ticks must lie in (0, ticks_per_period/2)")
 
     def rad_to_ticks(self, angle: float) -> int:
         """Nearest tick for an angle in [0, 2*pi].
@@ -51,10 +55,6 @@ class TickClock:
         # Unit angular speed: one period lasts 2*pi seconds, so the scale
         # factor is the same as for radians.
         return ticks / self.ticks_per_period * TWO_PI
-
-
-class ConfigError(ValueError):
-    """Malformed or inconsistent scenario/sweep configuration."""
 
 
 def read_int(value, field: str) -> int:

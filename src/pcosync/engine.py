@@ -79,7 +79,6 @@ class OscillatorState:
     full period back.
     """
 
-    id: int
     phase: int
     phase_tick: int = 0
     receive_log: deque = field(default_factory=deque)
@@ -195,7 +194,7 @@ class Simulation:
     def run(self) -> SimulationResult:
         tpp = self.clock.ticks_per_period
         states = {
-            i: OscillatorState(id=i, phase=self.initial_phases[i], phase_tick=0)
+            i: OscillatorState(phase=self.initial_phases[i], phase_tick=0)
             for i in self.legit_ids
         }
         queue: list[tuple[int, int, int, int]] = []  # (tick, prio, node, gen)

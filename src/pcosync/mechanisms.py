@@ -17,7 +17,9 @@ The quorum rules respond to a pulse only while the phase is in the upper
 half of the cycle, and only when enough earlier pulses arrived either in
 the trailing channel-separation window or in the trailing half period (the
 latter disabled for a full period after a reset to zero). ``read_mechanism``
-is the one reader of a scenario's mechanism section.
+is the one reader of a scenario's mechanism section. ``_QUORUM_RULES`` holds
+each quorum kind's formulas once: ``build_mechanism`` evaluates them at a
+node's own degree, ``check_sync_conditions`` at the network degree.
 """
 
 from __future__ import annotations
@@ -26,9 +28,11 @@ from dataclasses import dataclass
 
 from .core import ConfigError, TickClock, read_int, read_number
 from .engine import OscillatorState
-from .topology import KIND_QUORUM_DEGREE, KIND_QUORUM_N
+from .topology import Topology
 
 KIND_CONVENTIONAL = "conventional"
+KIND_QUORUM_N = "quorum_n"
+KIND_QUORUM_DEGREE = "quorum_degree"
 
 RESET_ZERO = "zero"
 RESET_PI = "pi"
@@ -162,6 +166,21 @@ def read_mechanism(section) -> dict:
     return description
 
 
+def _two_thirds(n: int) -> int:
+    return (2 * n) // 3
+
+
+# per quorum kind, (reset_over(n, d), response_quorum(n, d), degree_bound(n)) of
+# a network size n and a degree d; quorum_degree resets on at least floor(d/3)
+# pulses and never reads n. The guarantees need d > degree_bound(N) and
+# M <= response_quorum(N, d): d > floor(2N/3) and M < d - floor(2N/3) for
+# quorum_n, d > floor(3N/4) and M < floor(d/6) for quorum_degree.
+_QUORUM_RULES = {
+    KIND_QUORUM_N: (lambda n, d: n // 3, lambda n, d: d - _two_thirds(n) - 1, _two_thirds),
+    KIND_QUORUM_DEGREE: (lambda n, d: d // 3 - 1, lambda n, d: d // 6 - 1, lambda n: (3 * n) // 4),
+}
+
+
 def build_mechanism(description: dict, clock: TickClock, own_degree: int):
     """The decision object of one oscillator of degree ``own_degree``.
 
@@ -171,21 +190,50 @@ def build_mechanism(description: dict, clock: TickClock, own_degree: int):
     kind = description["kind"]
     if kind == KIND_CONVENTIONAL:
         return ConventionalPrf(description["coupling"], clock)
-    if kind == KIND_QUORUM_N:
-        # reset to zero on more than floor(N/3) pulses; respond to a pulse
-        # after at least own_degree - floor(2N/3) - 1 earlier ones
-        n_known = description["n_known"]
-        return QuorumMechanism(
-            kind,
-            reset_over=n_known // 3,
-            response_quorum=own_degree - (2 * n_known) // 3 - 1,
-            clock=clock,
-        )
-    # quorum_degree: reset on at least floor(d/3) pulses, i.e. more than
-    # floor(d/3) - 1; respond after at least floor(d/6) - 1 earlier ones
-    return QuorumMechanism(
-        kind,
-        reset_over=own_degree // 3 - 1,
-        response_quorum=own_degree // 6 - 1,
-        clock=clock,
+    reset_over, response_quorum, _ = _QUORUM_RULES[kind]
+    n_known = description.get("n_known")  # quorum_degree has none
+    return QuorumMechanism(kind, reset_over(n_known, own_degree),
+                           response_quorum(n_known, own_degree), clock)
+
+
+@dataclass(frozen=True)
+class ConditionReport:
+    """Outcome of the guarantee-condition check for one mechanism kind."""
+
+    mechanism: str
+    n: int
+    d: int
+    m: int
+    degree_bound: int  # the floor bound d is compared against
+    degree_ok: bool
+    attacker_bound_ok: bool
+    max_allowed_attackers: int
+
+    def to_dict(self) -> dict:
+        return dict(vars(self))  # every field is a scalar, in the order above
+
+
+def check_sync_conditions(topology: Topology, mechanism: str, m: int) -> ConditionReport:
+    """Evaluate the degree and attacker-count bounds that guarantee synchronization.
+
+    The network degree d must exceed the kind's degree bound of N, and the
+    attacker count m may be at most the response quorum at (N, d). m = 0
+    covers the attack-free guarantees.
+    """
+    if not 0 <= m < topology.n:
+        raise ValueError("attacker count m must satisfy 0 <= m < n")
+    if mechanism not in _QUORUM_RULES:
+        raise ValueError(f"no guarantee conditions defined for mechanism {mechanism!r}")
+    _, response_quorum, degree_bound = _QUORUM_RULES[mechanism]
+    n, d = topology.n, topology.network_degree
+    bound, max_allowed = degree_bound(n), response_quorum(n, d)
+    return ConditionReport(
+        mechanism=mechanism,
+        n=n,
+        d=d,
+        m=m,
+        degree_bound=bound,
+        degree_ok=d > bound,
+        attacker_bound_ok=m <= max_allowed,
+        max_allowed_attackers=max_allowed,
     )

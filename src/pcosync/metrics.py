@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .core import TWO_PI, TickClock
 from .engine import FIRED, RESET_TO_ZERO, SimulationResult
-from .topology import ConditionReport
+from .mechanisms import ConditionReport
 
 
 def containing_arc_ticks(phases, ticks_per_period: int) -> int:

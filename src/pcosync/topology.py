@@ -1,9 +1,8 @@
 """Directed communication graphs for oscillator networks.
 
 A node's degree is the minimum of its in- and outdegree; the network degree
-is the minimum over all nodes. The synchronization guarantees of the quorum
-mechanisms are stated in terms of the network degree, the node count and
-the attacker count, and ``check_sync_conditions`` evaluates them.
+is the minimum over all nodes. ``load_topology`` is the one reader of a
+scenario's topology section; a malformed graph raises ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -11,10 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import read_int, read_number
-
-KIND_QUORUM_N = "quorum_n"
-KIND_QUORUM_DEGREE = "quorum_degree"
+from .core import ConfigError, read_int, read_number
 
 
 @dataclass(frozen=True)
@@ -35,23 +31,6 @@ class Topology:
     network_degree: int
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    """Outcome of the guarantee-condition check for one mechanism kind."""
-
-    mechanism: str
-    n: int
-    d: int
-    m: int
-    degree_bound: int  # the floor bound d is compared against
-    degree_ok: bool
-    attacker_bound_ok: bool
-    max_allowed_attackers: int
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))  # every field is a scalar, in the order above
-
-
 def from_adjacency(adjacency) -> Topology:
     """Validate raw adjacency lists and derive all degree fields.
 
@@ -59,21 +38,21 @@ def from_adjacency(adjacency) -> Topology:
     indices that are not integers in range (booleans included).
     """
     if not isinstance(adjacency, list) or not adjacency:
-        raise ValueError("topology needs a nonempty list of adjacency rows")
+        raise ConfigError("topology needs a nonempty list of adjacency rows")
     n = len(adjacency)
     rows: list[tuple[int, ...]] = []
     indeg = [0] * n
     for i, neigh in enumerate(adjacency):
         if not isinstance(neigh, list):
-            raise ValueError(f"adjacency row {i} is not a list")
+            raise ConfigError(f"adjacency row {i} is not a list")
         seen = set()
         for j in neigh:
             if type(j) is not int or not 0 <= j < n:
-                raise ValueError(f"edge ({i},{j!r}): node index must be an integer in [0,{n})")
+                raise ConfigError(f"edge ({i},{j!r}): node index must be an integer in [0,{n})")
             if j == i:
-                raise ValueError(f"self-edge ({i},{i}) not allowed")
+                raise ConfigError(f"self-edge ({i},{i}) not allowed")
             if j in seen:
-                raise ValueError(f"duplicate edge ({i},{j})")
+                raise ConfigError(f"duplicate edge ({i},{j})")
             seen.add(j)
             indeg[j] += 1
         rows.append(tuple(sorted(seen)))
@@ -98,9 +77,9 @@ def build_circle_deployment(n: int, diameter: float, comm_range: float) -> Topol
     but only index distance matters for connectivity.
     """
     if n < 2:
-        raise ValueError("circle deployment needs n >= 2")
+        raise ConfigError("circle deployment needs n >= 2")
     if diameter <= 0 or comm_range <= 0:
-        raise ValueError("diameter and comm_range must be positive")
+        raise ConfigError("diameter and comm_range must be positive")
     # reach = largest index distance within range, identical for every node
     reach = [k for k in range(1, n // 2 + 1) if diameter * math.sin(math.pi * k / n) < comm_range]
     max_k = max(reach) if reach else 0
@@ -112,36 +91,6 @@ def build_circle_deployment(n: int, diameter: float, comm_range: float) -> Topol
             neigh.add((i - k) % n)
         adjacency.append(sorted(neigh))
     return from_adjacency(adjacency)
-
-
-def check_sync_conditions(topology: Topology, mechanism: str, m: int) -> ConditionReport:
-    """Evaluate the degree and attacker-count bounds that guarantee synchronization.
-
-    quorum_n requires d > floor(2N/3) with m < d - floor(2N/3);
-    quorum_degree requires d > floor(3N/4) with m < floor(d/6).
-    m = 0 covers the attack-free guarantees.
-    """
-    if not 0 <= m < topology.n:
-        raise ValueError("attacker count m must satisfy 0 <= m < n")
-    n, d = topology.n, topology.network_degree
-    if mechanism == KIND_QUORUM_N:
-        bound = (2 * n) // 3
-        max_allowed = d - bound - 1
-    elif mechanism == KIND_QUORUM_DEGREE:
-        bound = (3 * n) // 4
-        max_allowed = d // 6 - 1
-    else:
-        raise ValueError(f"no guarantee conditions defined for mechanism {mechanism!r}")
-    return ConditionReport(
-        mechanism=mechanism,
-        n=n,
-        d=d,
-        m=m,
-        degree_bound=bound,
-        degree_ok=d > bound,
-        attacker_bound_ok=m <= max_allowed,
-        max_allowed_attackers=max_allowed,
-    )
 
 
 _TOPOLOGY_FIELDS = {"circle": ("n", "diameter", "range"), "explicit": ("adjacency",)}
@@ -156,14 +105,14 @@ def load_topology(description) -> tuple[Topology, dict]:
     feeds the config digest.
     """
     if not isinstance(description, dict):
-        raise ValueError("topology description must be a mapping")
+        raise ConfigError("topology description must be a mapping")
     kind = description.get("kind")
     fields = _TOPOLOGY_FIELDS.get(kind) if isinstance(kind, str) else None
     if fields is None:
-        raise ValueError(f"unknown topology kind {kind!r}")
+        raise ConfigError(f"unknown topology kind {kind!r}")
     if set(description) != {"kind", *fields}:
-        raise ValueError(f"{kind} topology takes exactly the fields {['kind', *fields]}, "
-                         f"not {sorted(description)}")
+        raise ConfigError(f"{kind} topology takes exactly the fields {['kind', *fields]}, "
+                          f"not {sorted(description)}")
     if kind == "explicit":
         topo = from_adjacency(description["adjacency"])
         return topo, {"kind": kind, "adjacency": [list(row) for row in topo.adjacency]}

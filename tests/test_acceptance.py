@@ -318,7 +318,7 @@ def test_acceptance_09_attacker_pulses_alone_cannot_shift():
             pulses.append(t)
             t += EPS + 1 + rng.randrange(50)
     pulses.sort()
-    state = OscillatorState(id=0, phase=0, phase_tick=reset, receive_log=deque(),
+    state = OscillatorState(phase=0, phase_tick=reset, receive_log=deque(),
                             last_reset_to_zero_tick=reset)
     shifts = []
     for t in pulses:

@@ -215,6 +215,8 @@ BAD_SCENARIOS = {
     "scripted-closer-than-epsilon": shipped_with_attack(kind="scripted", ticks={"1": [5, 6]}),
     "periodic-below-epsilon": shipped_with_attack(kind="periodic", period_ticks=5,
                                                   horizon_ticks=1_000_000),
+    "periodic-seed-scope": shipped_with_attack(kind="periodic", period_ticks=250_000,
+                                               horizon_ticks=1_000_000, seed_scope="attack"),
     "scripted-attacker-twice": shipped_with_attack(kind="scripted",
                                                    ticks={"1": [5], "01": [700_000]}),
     "budget-over-capacity": shipped_with_attack(kind="random_budget", total_pulses=1_000_000,

@@ -63,11 +63,11 @@ def records_of(result, kind, node=None):
 
 
 def test_receive_count_windows():
-    state = OscillatorState(id=0, phase=0, receive_log=deque([100, 100, 150]))
+    state = OscillatorState(phase=0, receive_log=deque([100, 100, 150]))
     assert receive_count(state, 90) == 3
     assert receive_count(state, 100) == 1  # open left endpoint drops tick 100
     assert receive_count(state, 150) == 0
-    assert receive_count(OscillatorState(id=0, phase=0), 0) == 0
+    assert receive_count(OscillatorState(phase=0), 0) == 0
 
 
 # -- small hand-traced scenarios ----------------------------------------------

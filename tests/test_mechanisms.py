@@ -14,7 +14,9 @@ from pcosync.mechanisms import (
     RESET_ZERO,
     apply_conventional_jump,
     build_mechanism,
+    check_sync_conditions,
 )
+from pcosync.topology import build_circle_deployment
 
 CLOCK = TickClock()  # 1_000_000 ticks, epsilon 10_000
 TPP = CLOCK.ticks_per_period
@@ -24,7 +26,6 @@ HALF = TPP // 2
 
 def make_state(phase, pulses=(), last_fire=None, last_zero=None):
     return OscillatorState(
-        id=0,
         phase=phase,
         phase_tick=0,
         receive_log=deque(pulses),
@@ -221,3 +222,72 @@ def test_raising_response_quorum_only_removes_shifts():
         state = make_state(int(0.75 * TPP), pulses=trace[:upto] + [now])
         if high.on_pulse(state, now).kind == "shift":
             assert low.on_pulse(state, now).kind == "shift"
+
+
+# -- guarantee conditions ----------------------------------------------------
+
+
+def test_conditions_quorum_n():
+    topo = build_circle_deployment(24, 40, 39)
+    rep = check_sync_conditions(topo, "quorum_n", 3)
+    assert rep.degree_ok  # 20 > 16
+    assert rep.degree_bound == 16
+    assert rep.attacker_bound_ok
+    assert rep.max_allowed_attackers == 3
+    # one above the bound fails, the bound itself passes
+    assert not check_sync_conditions(topo, "quorum_n", 4).attacker_bound_ok
+    assert check_sync_conditions(topo, "quorum_n", 3).attacker_bound_ok
+
+
+def test_conditions_quorum_degree():
+    topo = build_circle_deployment(24, 40, 39)
+    rep = check_sync_conditions(topo, "quorum_degree", 3)
+    assert rep.degree_ok  # 20 > 18
+    assert rep.degree_bound == 18
+    assert not rep.attacker_bound_ok  # max allowed is floor(20/6)-1 = 2
+    assert rep.max_allowed_attackers == 2
+    rep0 = check_sync_conditions(topo, "quorum_degree", 0)
+    assert rep0.degree_ok and rep0.attacker_bound_ok
+
+
+def test_conditions_reject_bad_inputs():
+    topo = build_circle_deployment(4, 40, 41)
+    with pytest.raises(ValueError):
+        check_sync_conditions(topo, "quorum_n", 4)  # m == n
+    with pytest.raises(ValueError):
+        check_sync_conditions(topo, "conventional", 0)
+
+
+def circle_networks(n):
+    """Circle deployments of n nodes, one per reach: every network degree a circle can have."""
+    chords = [math.sin(math.pi * k / n) for k in range(n // 2 + 1)] + [2.0]  # diameter 1
+    # a range between the chords at index distance k and k + 1 links exactly k hops each way
+    return [build_circle_deployment(n, 1.0, (chords[k] + chords[k + 1]) / 2)
+            for k in range(n // 2 + 1)]
+
+
+def test_quorum_formulas_match_the_paper_away_from_n24():
+    # written out from README, with true division, so that N need not divide by 3 or 4
+    for n in range(2, 41):
+        networks = circle_networks(n)
+        assert {t.network_degree for t in networks} == set(range(0, n, 2)) | {n - 1}
+        for topo in networks:
+            d = topo.network_degree
+            expected = {
+                KIND_QUORUM_N: (math.floor(2 * n / 3), d - math.floor(2 * n / 3) - 1),
+                KIND_QUORUM_DEGREE: (math.floor(3 * n / 4), math.floor(d / 6) - 1),
+            }
+            for kind, (bound, max_allowed) in expected.items():
+                for m in range(n):
+                    rep = check_sync_conditions(topo, kind, m)
+                    assert (rep.degree_bound, rep.max_allowed_attackers) == (bound, max_allowed)
+                    assert rep.degree_ok == (d > bound)
+                    assert rep.attacker_bound_ok == (m <= max_allowed)
+    for n_known in range(1, 41):
+        for degree in range(41):
+            mech = build_mechanism({"kind": KIND_QUORUM_N, "n_known": n_known}, CLOCK, degree)
+            assert mech.reset_over == math.floor(n_known / 3)
+            assert mech.response_quorum == degree - math.floor(2 * n_known / 3) - 1
+            mech = build_mechanism({"kind": KIND_QUORUM_DEGREE}, CLOCK, degree)
+            assert mech.reset_over == math.floor(degree / 3) - 1  # resets on at least floor(d/3)
+            assert mech.response_quorum == math.floor(degree / 6) - 1

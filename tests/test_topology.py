@@ -3,12 +3,7 @@ import math
 import pytest
 
 from oracles import is_strongly_connected
-from pcosync.topology import (
-    build_circle_deployment,
-    check_sync_conditions,
-    from_adjacency,
-    load_topology,
-)
+from pcosync.topology import build_circle_deployment, from_adjacency, load_topology
 
 
 def brute_force_circle_neighbors(n, diameter, comm_range, i):
@@ -48,37 +43,6 @@ def test_circle_argument_validation():
         build_circle_deployment(1, 40, 39)
     with pytest.raises(ValueError):
         build_circle_deployment(5, 0, 39)
-
-
-def test_conditions_quorum_n():
-    topo = build_circle_deployment(24, 40, 39)
-    rep = check_sync_conditions(topo, "quorum_n", 3)
-    assert rep.degree_ok  # 20 > 16
-    assert rep.degree_bound == 16
-    assert rep.attacker_bound_ok
-    assert rep.max_allowed_attackers == 3
-    # one above the bound fails, the bound itself passes
-    assert not check_sync_conditions(topo, "quorum_n", 4).attacker_bound_ok
-    assert check_sync_conditions(topo, "quorum_n", 3).attacker_bound_ok
-
-
-def test_conditions_quorum_degree():
-    topo = build_circle_deployment(24, 40, 39)
-    rep = check_sync_conditions(topo, "quorum_degree", 3)
-    assert rep.degree_ok  # 20 > 18
-    assert rep.degree_bound == 18
-    assert not rep.attacker_bound_ok  # max allowed is floor(20/6)-1 = 2
-    assert rep.max_allowed_attackers == 2
-    rep0 = check_sync_conditions(topo, "quorum_degree", 0)
-    assert rep0.degree_ok and rep0.attacker_bound_ok
-
-
-def test_conditions_reject_bad_inputs():
-    topo = build_circle_deployment(4, 40, 41)
-    with pytest.raises(ValueError):
-        check_sync_conditions(topo, "quorum_n", 4)  # m == n
-    with pytest.raises(ValueError):
-        check_sync_conditions(topo, "conventional", 0)
 
 
 def test_load_topology():
