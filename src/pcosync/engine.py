@@ -7,6 +7,13 @@ advances. The kernel fixes a total order over all same-instant work
 (attacker pulses, then phase wraps, by node index; deliveries in global
 emission order) so a run is a pure function of its inputs.
 
+Every phase climbs one tick per tick, so an oscillator's state is its phase
+offset: its phase at tick ``now`` is ``offset + now``. Only pulses and
+resets change an offset. The queue holds a wrap entry for each offset an
+oscillator takes below the top, due when its phase reaches the top; an
+entry whose offset has since changed is superseded, and is skipped when
+popped.
+
 Mechanism objects plugged into the kernel expose three pure decision
 functions::
 
@@ -20,9 +27,10 @@ top of the cycle (so fire suppression applies mid-cascade), and
 ``on_reach_top`` once, after the instant has settled, when the full set of
 same-instant pulses is in the receive log. ``on_pulse`` sees the receive log
 pruned to the trailing half period, with the pulse being handled as its
-newest entry: every earlier entry arrived before that pulse. An oscillator
-parked at the top ignores pulses but still counts them, so a pulse sent to it
-is added to its receive log when it is emitted instead of being queued.
+newest entry: every earlier entry arrived before that pulse. A mechanism
+reads its phase as ``state.offset + now``. An oscillator parked at the top
+ignores pulses but still counts them, so a pulse sent to it is added to its
+receive log when it is emitted instead of being queued.
 """
 
 from __future__ import annotations
@@ -58,8 +66,8 @@ PhaseSnapshot.__doc__ = (
     "SimulationResult.legit_ids."
 )
 
-# one instant-log entry: the tick, the post-instant offsets phase - phase_tick of
-# the legitimate oscillators, and the (kind, node) of its non-delivery records
+# one instant-log entry: the tick, the post-instant offsets of the legitimate
+# oscillators, and the (kind, node) of its non-delivery records
 Instant = namedtuple("Instant", "tick offsets events")
 
 
@@ -71,28 +79,26 @@ class EngineError(Exception):
 class OscillatorState:
     """Mutable per-oscillator state the mechanisms decide on.
 
-    ``phase`` is the phase in ticks at reference time ``phase_tick``; between
-    events the phase advances one tick per tick. ``receive_log`` holds the
-    non-decreasing ticks of received pulses, pruned to the trailing half
-    period (the widest counting window any rule uses); the scalar
-    ``last_reset_to_zero_tick`` survives pruning because one rule looks a
-    full period back.
+    ``offset`` is the phase in ticks minus the current tick: the phase at
+    tick ``now`` is ``offset + now``, and only a pulse or a reset changes
+    the offset. ``receive_log`` holds the non-decreasing ticks of received
+    pulses, pruned to the trailing half period (the widest counting window
+    any rule uses); the scalar ``last_reset_to_zero_tick`` survives pruning
+    because one rule looks a full period back.
     """
 
-    phase: int
-    phase_tick: int = 0
+    offset: int
     receive_log: deque = field(default_factory=deque)
     last_fire_tick: int | None = None
     last_reset_to_zero_tick: int | None = None
-    wrap_gen: int = 0  # bumps on every reschedule; stale queue entries are skipped
 
 
 @dataclass
 class SimulationResult:
     """A completed run, kept as its instant log: one :class:`Instant` per
-    resolved tick; a pop that found only stale wraps logs the previous
-    offsets and no events. ``records`` and ``snapshots`` are derived from it
-    on every access.
+    resolved tick, holding the oscillators' offsets after it; a pop that
+    found only superseded wraps logs the previous offsets and no events.
+    ``records`` and ``snapshots`` are derived from it on every access.
     """
 
     clock: TickClock
@@ -193,17 +199,14 @@ class Simulation:
 
     def run(self) -> SimulationResult:
         tpp = self.clock.ticks_per_period
-        states = {
-            i: OscillatorState(phase=self.initial_phases[i], phase_tick=0)
-            for i in self.legit_ids
-        }
-        queue: list[tuple[int, int, int, int]] = []  # (tick, prio, node, gen)
+        states = {i: OscillatorState(offset=self.initial_phases[i]) for i in self.legit_ids}
+        queue: list[tuple[int, int, int]] = []  # (tick, prio, node)
         for i in self.legit_ids:
-            queue.append((tpp - states[i].phase, _PRIO_WRAP, i, 0))
+            queue.append((tpp - states[i].offset, _PRIO_WRAP, i))
         for a, ticks in self.schedules.items():
             for t in ticks:
                 if 0 <= t <= self.horizon:
-                    queue.append((t, _PRIO_ATTACK, a, 0))
+                    queue.append((t, _PRIO_ATTACK, a))
         heapq.heapify(queue)
 
         initial = tuple(self.initial_phases[i] for i in self.legit_ids)
@@ -264,9 +267,7 @@ class Simulation:
         def park(i: int) -> bool:
             """Put oscillator i at the cycle top; True if it fires."""
             st = states[i]
-            st.phase = tpp
-            st.phase_tick = t
-            st.wrap_gen += 1  # any scheduled wrap is now stale
+            st.offset = tpp - t
             at_top.add(i)
             if mechanisms[i].fires(st, t):
                 events.append((FIRED, i))
@@ -276,17 +277,16 @@ class Simulation:
 
         # 1) pop everything scheduled at t (attacker pulses first, then wraps),
         # then emit in pop order: every same-instant wrap is parked before any
-        # pulse is routed, and fire decisions never read the receive log
+        # pulse is routed, and fire decisions never read the receive log. A wrap
+        # is current when its node is at the top now; a superseded one may share
+        # the tick of the current one, so a node already parked is skipped
         senders = []
         while queue and queue[0][0] == t:
-            _, prio, node, gen = heapq.heappop(queue)
+            _, prio, node = heapq.heappop(queue)
             if prio == _PRIO_ATTACK:
                 events.append((FIRED, node))
                 senders.append(node)
-            elif gen == states[node].wrap_gen:
-                st = states[node]
-                if st.phase + (t - st.phase_tick) != tpp:
-                    raise EngineError(f"wrap event for {node} at {t} does not land on the cycle top")
+            elif states[node].offset + t == tpp and node not in at_top:
                 if park(node):
                     senders.append(node)
         for node in senders:
@@ -304,8 +304,6 @@ class Simulation:
                 continue  # parked after this pulse was queued; the pulse still counts
             while log[0] < cutoff:
                 log.popleft()
-            st.phase += t - st.phase_tick
-            st.phase_tick = t
             action = mechanisms[r].on_pulse(st, t)
             kind = action.kind
             if kind == "ignore":
@@ -314,12 +312,11 @@ class Simulation:
                 events.append((SHIFTED_TO_2PI, r))
             elif kind == "jump":
                 new_phase = action.jump_to
-                if new_phase == st.phase:
+                if new_phase == st.offset + t:
                     continue
-                st.phase = new_phase
                 if new_phase != tpp:
-                    st.wrap_gen += 1
-                    heapq.heappush(queue, (t + tpp - new_phase, _PRIO_WRAP, r, st.wrap_gen))
+                    st.offset = new_phase - t
+                    heapq.heappush(queue, (tpp - st.offset, _PRIO_WRAP, r))
                     continue
             else:
                 raise EngineError(f"mechanism returned unknown pulse action {kind!r}")
@@ -335,18 +332,16 @@ class Simulation:
                 while log[0] < cutoff:
                     log.popleft()
             if mechanisms[i].on_reach_top(st, t) == "zero":
-                st.phase = 0
+                st.offset = -t
                 st.last_reset_to_zero_tick = t
                 events.append((RESET_TO_ZERO, i))
             else:
-                st.phase = half
+                st.offset = half - t
                 events.append((RESET_TO_PI, i))
-            st.phase_tick = t
-            st.wrap_gen += 1
-            heapq.heappush(queue, (t + tpp - st.phase, _PRIO_WRAP, i, st.wrap_gen))
+            heapq.heappush(queue, (tpp - st.offset, _PRIO_WRAP, i))
 
-        offsets = tuple([st.phase - st.phase_tick for st in self._legit_states])
+        offsets = tuple([st.offset for st in self._legit_states])
         if offsets == self._offsets:
-            offsets = self._offsets  # nothing moved (or only stale wraps popped): share the tuple
+            offsets = self._offsets  # nothing moved: share the tuple
         self._offsets = offsets
         self._log.append(Instant(t, offsets, events))

@@ -94,7 +94,8 @@ class ConventionalPrf:
         return RESET_ZERO
 
     def on_pulse(self, state: OscillatorState, now: int) -> PulseAction:
-        return jump_to(apply_conventional_jump(state.phase, self.coupling, self.ticks_per_period))
+        phase = state.offset + now
+        return jump_to(apply_conventional_jump(phase, self.coupling, self.ticks_per_period))
 
 
 class QuorumMechanism:
@@ -126,7 +127,7 @@ class QuorumMechanism:
 
     def on_pulse(self, state: OscillatorState, now: int) -> PulseAction:
         """Shift on a quorum of earlier pulses; the pulse handled is the newest log entry."""
-        if state.phase < self.half:
+        if state.offset + now < self.half:
             return IGNORE
         quorum = self.response_quorum
         if receive_count(state, now - self.eps) - 1 >= quorum:

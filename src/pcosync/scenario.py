@@ -24,8 +24,6 @@ from .engine import Simulation, SimulationResult
 from .metrics import RunSummary, summarize_run
 from .topology import Topology
 
-DEFAULT_TICKS_PER_PERIOD = 1_000_000
-DEFAULT_EPSILON_TICKS = 10_000
 DEFAULT_HORIZON_PERIODS = 20
 
 PHASE_SEED_SCOPE = "phases"
@@ -68,16 +66,16 @@ def parse_scenario(data: dict) -> ScenarioConfig:
     _require(not unknown, f"unknown scenario fields: {sorted(unknown)}")
 
     clock_data = _section(data, "clock", {"ticks_per_period", "epsilon_ticks"})
-    tpp = read_int(clock_data.get("ticks_per_period", DEFAULT_TICKS_PER_PERIOD),
-                   "clock.ticks_per_period")
-    eps = read_int(clock_data.get("epsilon_ticks", DEFAULT_EPSILON_TICKS), "clock.epsilon_ticks")
-    clock = TickClock(ticks_per_period=tpp, epsilon_ticks=eps)
+    clock = TickClock(**{k: read_int(v, f"clock.{k}") for k, v in clock_data.items()})
 
     _require("topology" in data, "scenario needs a topology section")
     topo, topo_desc = topo_mod.load_topology(data["topology"])
 
     _require("mechanism" in data, "scenario needs a mechanism section")
     mechanism_desc = mechanisms.read_mechanism(data["mechanism"])
+    n_known = mechanism_desc.get("n_known", topo.n)  # only quorum_n takes one
+    _require(n_known == topo.n,
+             f"mechanism.n_known is {n_known} but the topology has {topo.n} oscillators")
 
     attackers = _section(data, "attackers", {"ids", "attack"})
     raw_ids = attackers.get("ids", [])

@@ -318,15 +318,14 @@ def test_acceptance_09_attacker_pulses_alone_cannot_shift():
             pulses.append(t)
             t += EPS + 1 + rng.randrange(50)
     pulses.sort()
-    state = OscillatorState(phase=0, phase_tick=reset, receive_log=deque(),
+    # phase zero at the reset, so the phase at tick t is t - reset
+    state = OscillatorState(offset=-reset, receive_log=deque(),
                             last_reset_to_zero_tick=reset)
     shifts = []
     for t in pulses:
         state.receive_log.append(t)
         while state.receive_log[0] < t - HALF:
             state.receive_log.popleft()
-        state.phase = t - reset
-        state.phase_tick = t
         if mech.on_pulse(state, t).kind == "shift":
             shifts.append(t)
     window_shifts = [t for t in shifts if reset + HALF <= t < reset + TPP]

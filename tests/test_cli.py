@@ -176,9 +176,13 @@ def with_fields(data, **fields):
     return data
 
 
+def shipped_config():
+    # a config that `validate` passes (exit 0)
+    return json.loads((CONFIG_DIR / "circle24_quorum_n_attacked.json").read_text())
+
+
 def shipped_with_attack(**attack):
-    # a config that `validate` passes (exit 0) unless its attack cannot be scheduled
-    data = json.loads((CONFIG_DIR / "circle24_quorum_n_attacked.json").read_text())
+    data = shipped_config()
     data["attackers"]["attack"] = attack
     return data
 
@@ -221,6 +225,8 @@ BAD_SCENARIOS = {
                                                    ticks={"1": [5], "01": [700_000]}),
     "budget-over-capacity": shipped_with_attack(kind="random_budget", total_pulses=1_000_000,
                                                 horizon_ticks=100_000),
+    "n-known-not-topology-n": with_fields(shipped_config(),
+                                          mechanism={"kind": "quorum_n", "n_known": 100}),
     **{f"topology-{name}": with_fields(small_scenario(), topology=topo)
        for name, topo in BAD_TOPOLOGIES.items()},
 }

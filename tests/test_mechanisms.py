@@ -24,10 +24,10 @@ EPS = CLOCK.epsilon_ticks
 HALF = TPP // 2
 
 
-def make_state(phase, pulses=(), last_fire=None, last_zero=None):
+def make_state(phase, pulses=(), last_fire=None, last_zero=None, now=0):
+    # the state of an oscillator whose phase at tick `now` is `phase`
     return OscillatorState(
-        phase=phase,
-        phase_tick=0,
+        offset=phase - now,
         receive_log=deque(pulses),
         last_fire_tick=last_fire,
         last_reset_to_zero_tick=last_zero,
@@ -149,9 +149,9 @@ def test_pulse_shift_via_epsilon_window():
     mech = quorum_n_mech()
     now = 2 * TPP
     prior = [now - 50, now - 40, now - 30]
-    state = make_state(int(0.6 * TPP), pulses=prior + [now])
+    state = make_state(int(0.6 * TPP), pulses=prior + [now], now=now)
     assert mech.on_pulse(state, now).kind == "shift"
-    state = make_state(int(0.6 * TPP), pulses=prior[:2] + [now])
+    state = make_state(int(0.6 * TPP), pulses=prior[:2] + [now], now=now)
     assert mech.on_pulse(state, now).kind == "ignore"
 
 
@@ -159,9 +159,9 @@ def test_pulse_gate_lower_half_ignores():
     mech = quorum_n_mech()
     now = 2 * TPP
     pulses = [now - 50] * 8 + [now]
-    state = make_state(int(0.3 * TPP), pulses=pulses)
+    state = make_state(int(0.3 * TPP), pulses=pulses, now=now)
     assert mech.on_pulse(state, now).kind == "ignore"
-    state = make_state(HALF, pulses=pulses)  # boundary: pi itself is in the gate
+    state = make_state(HALF, pulses=pulses, now=now)  # boundary: pi itself is in the gate
     assert mech.on_pulse(state, now).kind == "shift"
 
 
@@ -170,15 +170,15 @@ def test_pulse_half_period_rule_blocked_by_recent_zero_reset():
     now = 2 * TPP
     # three pulses spread wider than epsilon but inside the half period
     pulses = [now - HALF + 10, now - HALF // 2, now - 3 * EPS, now]
-    state = make_state(int(0.8 * TPP), pulses=pulses, last_zero=now - TPP // 4)
+    state = make_state(int(0.8 * TPP), pulses=pulses, last_zero=now - TPP // 4, now=now)
     assert mech.on_pulse(state, now).kind == "ignore"
-    state = make_state(int(0.8 * TPP), pulses=pulses, last_zero=None)
+    state = make_state(int(0.8 * TPP), pulses=pulses, last_zero=None, now=now)
     assert mech.on_pulse(state, now).kind == "shift"
     # a reset a full period ago sits outside the open blocking interval
-    state = make_state(int(0.8 * TPP), pulses=pulses, last_zero=now - TPP)
+    state = make_state(int(0.8 * TPP), pulses=pulses, last_zero=now - TPP, now=now)
     assert mech.on_pulse(state, now).kind == "shift"
     # a reset at the current instant does not disqualify either
-    state = make_state(int(0.8 * TPP), pulses=pulses, last_zero=now)
+    state = make_state(int(0.8 * TPP), pulses=pulses, last_zero=now, now=now)
     assert mech.on_pulse(state, now).kind == "shift"
 
 
@@ -187,18 +187,18 @@ def test_pulse_counts_exclude_current():
     now = 2 * TPP
     # the newest entry is the pulse being handled: three earlier same-instant
     # pulses meet the quorum of 3, two do not
-    state = make_state(int(0.7 * TPP), pulses=[now] * 4)
+    state = make_state(int(0.7 * TPP), pulses=[now] * 4, now=now)
     assert mech.on_pulse(state, now).kind == "shift"
-    state = make_state(int(0.7 * TPP), pulses=[now] * 3)
+    state = make_state(int(0.7 * TPP), pulses=[now] * 3, now=now)
     assert mech.on_pulse(state, now).kind == "ignore"
 
 
 def test_conventional_pulse_jumps_any_phase():
     mech = conventional_mech(1.0)
-    state = make_state(int(0.3 * TPP), pulses=[100])
+    state = make_state(int(0.3 * TPP), pulses=[100], now=100)
     action = mech.on_pulse(state, 100)
     assert action.kind == "jump" and action.jump_to == 0
-    state = make_state(int(0.9 * TPP), pulses=[100])
+    state = make_state(int(0.9 * TPP), pulses=[100], now=100)
     action = mech.on_pulse(state, 100)
     assert action.kind == "jump" and action.jump_to == TPP
 
@@ -219,7 +219,7 @@ def test_raising_response_quorum_only_removes_shifts():
     now = 2 * TPP
     trace = [now - 400 + 7 * k for k in range(10)]
     for upto in range(len(trace)):
-        state = make_state(int(0.75 * TPP), pulses=trace[:upto] + [now])
+        state = make_state(int(0.75 * TPP), pulses=trace[:upto] + [now], now=now)
         if high.on_pulse(state, now).kind == "shift":
             assert low.on_pulse(state, now).kind == "shift"
 

@@ -99,6 +99,7 @@ def test_defaults_applied():
     (lambda d: d.update(mechanism={"kind": "conventional"}), "coupling"),
     (lambda d: d.update(mechanism={"kind": "conventional", "coupling": 1.5}), "coupling"),
     (lambda d: d["mechanism"].update(n_known=0), "n_known"),
+    (lambda d: d["mechanism"].update(n_known=100), "n_known is 100 but the topology has 24"),
 ])
 def test_parse_rejects_inconsistent_configs(mutate, fragment):
     data = json.loads(json.dumps(BASE))
