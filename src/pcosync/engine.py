@@ -31,6 +31,12 @@ newest entry: every earlier entry arrived before that pulse. A mechanism
 reads its phase as ``state.offset + now``. An oscillator parked at the top
 ignores pulses but still counts them, so a pulse sent to it is added to its
 receive log when it is emitted instead of being queued.
+
+No instant needs a delivery cap: the pop and pending loops skip oscillators
+already parked at the top, so each fires at most once per instant, and
+``Simulation`` rejects a schedule that repeats a tick, so each attacker
+pulses at most once per tick. An instant makes at most sum(outdegree) <=
+n(n-1) deliveries.
 """
 
 from __future__ import annotations
@@ -72,7 +78,8 @@ Instant = namedtuple("Instant", "tick offsets events")
 
 
 class EngineError(Exception):
-    """Simulation kernel invariant violation (e.g. runaway cascade)."""
+    """A mechanism broke the kernel's contract: it returned an unknown pulse
+    action or jumped to a phase outside [0, ticks_per_period]."""
 
 
 @dataclass
@@ -155,8 +162,9 @@ class Simulation:
     """One seeded scenario wired up and ready to run.
 
     ``mechanisms`` maps every legitimate oscillator id to its decision
-    object; ``schedules`` maps attacker ids to sorted emission tick lists
-    (already validated by the adversary module). ``initial_phases`` maps
+    object; ``schedules`` maps attacker ids to emission ticks, strictly
+    increasing nonnegative ``int``s (at most one pulse per tick); ticks past
+    the horizon are never emitted. ``initial_phases`` maps
     legitimate ids to ticks in [0, ticks_per_period]; a start value at the
     very top of the cycle is resolved by the engine at tick 0.
     """
@@ -194,6 +202,10 @@ class Simulation:
         self.schedules = {a: tuple(v) for a, v in (schedules or {}).items()}
         if any(a not in attacker_set for a in self.schedules):
             raise ValueError("schedule present for a non-attacker id")
+        for a, ticks in self.schedules.items():
+            if not all(type(t) is int and s < t for s, t in zip((-1,) + ticks, ticks)):
+                raise ValueError(
+                    f"schedule of attacker {a} is not strictly increasing nonnegative ints")
         self.mechanisms = dict(mechanisms)
         self.initial_phases = dict(initial_phases)
 
@@ -204,9 +216,7 @@ class Simulation:
         for i in self.legit_ids:
             queue.append((tpp - states[i].offset, _PRIO_WRAP, i))
         for a, ticks in self.schedules.items():
-            for t in ticks:
-                if 0 <= t <= self.horizon:
-                    queue.append((t, _PRIO_ATTACK, a))
+            queue.extend((t, _PRIO_ATTACK, a) for t in ticks if t <= self.horizon)
         heapq.heapify(queue)
 
         initial = tuple(self.initial_phases[i] for i in self.legit_ids)
@@ -215,7 +225,6 @@ class Simulation:
         self._queue = queue
         self._log = []
         self._offsets = initial
-        self._cascade_cap = self.topology.n * self.topology.n
 
         horizon = self.horizon
         while queue and queue[0][0] <= horizon:
@@ -244,21 +253,11 @@ class Simulation:
         pending: list[int] = []  # receivers in emission order
         at_top: set[int] = set()
         events: list = []
-        delivered = 0  # deliveries this instant, including those to attackers
-        cap = self._cascade_cap
 
         def emit(sender: int) -> None:
             # parked receivers only count the pulse and attackers ignore it,
             # so only pulses that may move a phase are queued
-            nonlocal delivered
-            targets = adjacency[sender]
-            delivered += len(targets)
-            if delivered > cap:
-                raise EngineError(
-                    f"same-instant cascade at tick {t} exceeded {cap} deliveries; "
-                    "mechanism rules are not suppressing repeated fires"
-                )
-            for r in targets:
+            for r in adjacency[sender]:
                 if r in at_top:
                     states[r].receive_log.append(t)
                 elif r in states:
@@ -312,6 +311,9 @@ class Simulation:
                 events.append((SHIFTED_TO_2PI, r))
             elif kind == "jump":
                 new_phase = action.jump_to
+                if not 0 <= new_phase <= tpp:
+                    raise EngineError(
+                        f"oscillator {r} jumped to phase {new_phase}, outside [0, {tpp}]")
                 if new_phase == st.offset + t:
                     continue
                 if new_phase != tpp:

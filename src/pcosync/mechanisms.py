@@ -106,8 +106,7 @@ class QuorumMechanism:
     that must precede the current one for a shift to the cycle top.
     """
 
-    def __init__(self, kind: str, reset_over: int, response_quorum: int, clock: TickClock):
-        self.kind = kind
+    def __init__(self, reset_over: int, response_quorum: int, clock: TickClock):
         self.reset_over = reset_over
         self.response_quorum = response_quorum
         self.eps = clock.epsilon_ticks
@@ -193,7 +192,7 @@ def build_mechanism(description: dict, clock: TickClock, own_degree: int):
         return ConventionalPrf(description["coupling"], clock)
     reset_over, response_quorum, _ = _QUORUM_RULES[kind]
     n_known = description.get("n_known")  # quorum_degree has none
-    return QuorumMechanism(kind, reset_over(n_known, own_degree),
+    return QuorumMechanism(reset_over(n_known, own_degree),
                            response_quorum(n_known, own_degree), clock)
 
 

@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from random import Random
-from statistics import median_low
 
 from . import adversary, mechanisms, topology as topo_mod
 from .core import TWO_PI, ConfigError, TickClock, read_int, read_number
@@ -37,8 +35,7 @@ class ScenarioConfig:
     mechanism_desc: dict
     attacker_ids: tuple[int, ...]
     attack_desc: dict | None
-    initial_phases_rad: tuple[float, ...] | None  # None means random draw
-    phase_seed_scope: str
+    phases_desc: dict  # {"random_uniform": scope} or {"radians": [...]}
     horizon_ticks: int
     seed: int
 
@@ -96,21 +93,19 @@ def parse_scenario(data: dict) -> ScenarioConfig:
                    if "initial_phases" in data else {"random_uniform": PHASE_SEED_SCOPE})
     _require(len(phases_data) == 1,
              "initial_phases must be {'random_uniform': scope} or {'radians': [...]}")
-    phases_rad: tuple[float, ...] | None
-    scope = PHASE_SEED_SCOPE
     if "random_uniform" in phases_data:
         scope = phases_data["random_uniform"]
         _require(isinstance(scope, str),
                  f"initial_phases.random_uniform must be a string, not {scope!r}")
-        phases_rad = None
+        phases_desc = {"random_uniform": scope}
     else:
         raw = phases_data["radians"]
         _require(isinstance(raw, list), "initial_phases.radians must be a list")
         _require(len(raw) == n_legit,
                  f"initial_phases.radians must list {n_legit} values (one per legitimate oscillator)")
-        phases_rad = tuple(read_number(x, "initial_phases.radians") for x in raw)
-        _require(all(0.0 <= x <= TWO_PI for x in phases_rad),
-                 "initial phases must lie in [0, 2*pi]")
+        radians = [read_number(x, "initial_phases.radians") for x in raw]
+        _require(all(0.0 <= x <= TWO_PI for x in radians), "initial phases must lie in [0, 2*pi]")
+        phases_desc = {"radians": radians}
 
     default_horizon = DEFAULT_HORIZON_PERIODS * clock.ticks_per_period
     horizon = read_int(data.get("horizon_ticks", default_horizon), "horizon_ticks")
@@ -125,8 +120,7 @@ def parse_scenario(data: dict) -> ScenarioConfig:
         mechanism_desc=mechanism_desc,
         attacker_ids=ids,
         attack_desc=attack_desc,
-        initial_phases_rad=phases_rad,
-        phase_seed_scope=scope,
+        phases_desc=phases_desc,
         horizon_ticks=horizon,
         seed=seed,
     )
@@ -141,15 +135,12 @@ def canonical_dict(config: ScenarioConfig) -> dict:
         },
         "topology": config.topology_desc,
         "mechanism": config.mechanism_desc,
+        "initial_phases": config.phases_desc,
         "horizon_ticks": config.horizon_ticks,
         "seed": config.seed,
     }
     if config.attacker_ids:
         out["attackers"] = {"ids": list(config.attacker_ids), "attack": config.attack_desc}
-    if config.initial_phases_rad is None:
-        out["initial_phases"] = {"random_uniform": config.phase_seed_scope}
-    else:
-        out["initial_phases"] = {"radians": list(config.initial_phases_rad)}
     return out
 
 
@@ -166,13 +157,11 @@ def scoped_seed(seed: int, scope: str) -> int:
 
 def draw_initial_phases(config: ScenarioConfig, legit_ids) -> dict:
     """Initial phase ticks per legitimate oscillator (explicit or seeded draw)."""
+    radians = config.phases_desc.get("radians")
+    if radians is not None:
+        return {i: config.clock.rad_to_ticks(x) for i, x in zip(legit_ids, radians)}
+    rng = Random(scoped_seed(config.seed, config.phases_desc["random_uniform"]))
     tpp = config.clock.ticks_per_period
-    if config.initial_phases_rad is not None:
-        return {
-            i: config.clock.rad_to_ticks(x)
-            for i, x in zip(legit_ids, config.initial_phases_rad)
-        }
-    rng = Random(scoped_seed(config.seed, config.phase_seed_scope))
     return {i: round(rng.random() * tpp) for i in legit_ids}
 
 
@@ -285,6 +274,9 @@ def run_sweep(sweep: SweepConfig) -> tuple[dict, list[dict]]:
     if sweep.workers == 1:
         summaries = [_sweep_worker(base, s) for s in seeds]
     else:
+        # imported here: it costs ~25 ms, and serial runs never use it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=sweep.workers) as pool:
             chunk = max(1, len(seeds) // (sweep.workers * 4))
             summaries = list(pool.map(_sweep_worker, [base] * len(seeds), seeds,
@@ -301,7 +293,7 @@ def run_sweep(sweep: SweepConfig) -> tuple[dict, list[dict]]:
         "synced_runs": len(synced),
         "synced_fraction": len(synced) / sweep.runs,
         "sync_tick_min": sync_ticks[0] if sync_ticks else None,
-        "sync_tick_median": median_low(sync_ticks) if sync_ticks else None,
+        "sync_tick_median": sync_ticks[(len(sync_ticks) - 1) // 2] if sync_ticks else None,
         "sync_tick_max": sync_ticks[-1] if sync_ticks else None,
         "max_sync_periods": float(f"{sync_ticks[-1] / tpp:.9g}") if sync_ticks else None,
         "periods_exact_runs": sum(1 for s in synced if s["periods_exact"]),

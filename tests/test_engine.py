@@ -11,12 +11,14 @@ from pcosync.engine import (
     RESET_TO_PI,
     RESET_TO_ZERO,
     SHIFTED_TO_2PI,
+    EngineError,
     OscillatorState,
     Simulation,
 )
 from pcosync.mechanisms import (
     KIND_QUORUM_N,
     build_mechanism,
+    jump_to,
     receive_count,
 )
 from pcosync.scenario import build_simulation, parse_scenario, with_seed
@@ -374,16 +376,48 @@ def test_simulation_input_validation():
     with pytest.raises(ValueError):
         Simulation(CLOCK, topo, {0: mech, 1: mech}, {0: 0, 1: 0}, horizon=TPP,
                    schedules={0: (5,)})  # schedule for a non-attacker
+    # an attacker pulses at most once per tick, at nonnegative int ticks
+    for ticks in [(10, 10), (10, 5), (-1,), (True,)]:
+        with pytest.raises(ValueError, match="schedule of attacker 1"):
+            Simulation(CLOCK, topo, {0: mech}, {0: 0}, horizon=TPP,
+                       attacker_ids=(1,), schedules={1: ticks})
 
 
-def test_same_instant_delivery_cap():
-    # a schedule that repeats one tick (the adversary module would reject it)
-    # floods one instant; more than n*n deliveries stop the run
-    from pcosync.engine import EngineError
+@pytest.mark.parametrize("config_name", sorted(p.name for p in CONFIG_DIR.glob("circle24_*.json")))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_instant_deliveries_bounded_by_total_outdegree(config_name, seed):
+    # each node fires at most once per tick, so no instant delivers more than
+    # one pulse along each edge
+    sim = shipped_sim(config_name, seed)
+    result = sim.run()
+    fires = Counter((r.tick, r.node) for r in records_of(result, FIRED))
+    assert max(fires.values()) == 1
+    received = Counter(r.tick for r in records_of(result, RECEIVED))
+    assert max(received.values()) <= sum(sim.topology.outdegree)
 
+
+class JumpingMechanism:
+    """Fires at every top-reach, resets to zero and answers every pulse with one fixed jump."""
+
+    def __init__(self, phase):
+        self.phase = phase
+
+    def fires(self, state, now):
+        return True
+
+    def on_reach_top(self, state, now):
+        return "zero"
+
+    def on_pulse(self, state, now):
+        return jump_to(self.phase)
+
+
+@pytest.mark.parametrize("phase", [TPP + 300, -300], ids=["above-top", "negative"])
+def test_jump_outside_the_cycle_is_rejected(phase):
+    # a jump above the top would make the next wrap due before now and run
+    # time backwards; a negative one would leave a phase below zero
     topo = from_adjacency([[1], [0]])
-    at_cap = quorum_n_sim(topo, {0: 0}, horizon=TPP, attacker_ids=(1,), schedules={1: (10,) * 4})
-    assert [r.seq for r in records_of(at_cap.run(), RECEIVED) if r.tick == 10] == [1, 2, 3, 4]
-    over = quorum_n_sim(topo, {0: 0}, horizon=TPP, attacker_ids=(1,), schedules={1: (10,) * 5})
-    with pytest.raises(EngineError, match="exceeded 4 deliveries"):
-        over.run()
+    mech = JumpingMechanism(phase)
+    sim = Simulation(CLOCK, topo, {0: mech, 1: mech}, {0: TPP - 100, 1: 0}, horizon=3 * TPP)
+    with pytest.raises(EngineError, match=f"oscillator 1 jumped to phase {phase},"):
+        sim.run()

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,7 +85,19 @@ def test_defaults_applied():
     assert config.clock.epsilon_ticks == 10_000
     assert config.horizon_ticks == 20_000_000
     assert config.seed == 0
-    assert config.initial_phases_rad is None
+    assert config.phases_desc == {"random_uniform": "phases"}
+
+
+def test_import_leaves_out_what_a_serial_run_never_uses():
+    # the process pool is imported only when a sweep asks for workers
+    import pcosync
+
+    code = ("import sys, pcosync; "
+            "print(sorted({'concurrent.futures', 'statistics'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(pcosync.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("mutate,fragment", [
