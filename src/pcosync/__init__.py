@@ -1,7 +1,7 @@
 """Deterministic simulator and analysis toolkit for attack-resilient
 synchronization of pulse-coupled oscillator networks."""
 
-from .adversary import AttackSchedule, ScheduleError, generate, validate_schedule
+from .adversary import AttackSchedule, generate
 from .core import ConfigError, TickClock
 from .engine import (
     EngineError,

@@ -1,14 +1,18 @@
-"""Attack pulse-train generation and validation.
+"""Attack pulse-train generation.
 
 A compromised node may emit any pulse train whatsoever; the only physical
 constraint is the channel's minimum separation, so consecutive emissions of
 one attacker must be spaced strictly more than ``epsilon_ticks`` apart.
+``Simulation`` is the one check of that rule, for every schedule it runs.
 ``read_attack`` is the one reader of a scenario's attack section: it checks
 the section and returns its canonical description, the dict the config
 digest is built from. ``generate`` builds the schedules from a description:
 a random budget spread over a window, strictly periodic trains, a
 one-pulse-per-half-period stealthy pattern, or verbatim scripted schedules.
-It checks only what needs the clock or the RNG.
+``generate`` does not check the rule: a scripted train or a periodic
+period at or below ``epsilon_ticks`` passes through to ``Simulation``, which
+rejects it. It raises ``ConfigError`` only when a random budget or a
+stealthy window leaves no room for a legal train.
 """
 
 from __future__ import annotations
@@ -30,10 +34,6 @@ _LEAST = {"total_pulses": 0, "horizon_ticks": 0, "period_ticks": 1}
 
 SEED_SCOPE = "attack"
 _MAX_RESAMPLES_PER_TICK = 1000
-
-
-class ScheduleError(ConfigError):
-    """Infeasible or invalid attack schedule specification."""
 
 
 @dataclass(frozen=True)
@@ -88,22 +88,6 @@ def read_attack(section, attacker_ids: tuple[int, ...]) -> dict:
     return description
 
 
-def validate_schedule(schedule: AttackSchedule, clock: TickClock) -> bool:
-    """True iff ticks are sorted, nonnegative and separated by more than epsilon.
-
-    An empty schedule is valid: staying silent is allowed behavior.
-    """
-    eps = clock.epsilon_ticks
-    prev = None
-    for t in schedule.ticks:
-        if not isinstance(t, int) or t < 0:
-            return False
-        if prev is not None and t - prev <= eps:
-            return False
-        prev = t
-    return True
-
-
 def _capacity(horizon: int, eps: int) -> int:
     # densest legal train: one pulse every eps+1 ticks
     return horizon // (eps + 1) + 1
@@ -121,14 +105,14 @@ def _enforce_separation(ticks: list[int], eps: int, horizon: int, rng: Random) -
             return ticks
         budget -= 1
         if budget <= 0:
-            raise ScheduleError("could not satisfy pulse separation within the resample budget")
+            raise ConfigError("could not satisfy pulse separation within the resample budget")
         ticks[i + 1] = rng.randrange(horizon + 1)
         ticks.sort()
 
 
 def generate(description: dict, attacker_ids, clock: TickClock,
              rng: Random) -> list[AttackSchedule]:
-    """One validated schedule per attacker, deterministically from rng.
+    """One schedule per attacker, deterministically from rng.
 
     ``description`` is an attack description as :func:`read_attack` returns it.
     """
@@ -137,20 +121,11 @@ def generate(description: dict, attacker_ids, clock: TickClock,
     kind = description["kind"]
     if kind == "scripted":
         scripted = description["ticks"]
-        schedules = [AttackSchedule(a, tuple(scripted.get(str(a), ()))) for a in ids]
-        for s in schedules:
-            if not validate_schedule(s, clock):
-                raise ScheduleError(
-                    f"scripted schedule for attacker {s.attacker} violates the separation constraint"
-                )
-        return schedules
+        return [AttackSchedule(a, tuple(scripted.get(str(a), ()))) for a in ids]
 
     horizon = description["horizon_ticks"]
     if kind == "periodic":
-        period = description["period_ticks"]
-        if period <= eps:
-            raise ScheduleError("periodic attack period must exceed epsilon_ticks")
-        ticks = tuple(range(0, horizon + 1, period))
+        ticks = tuple(range(0, horizon + 1, description["period_ticks"]))
         return [AttackSchedule(a, ticks) for a in ids]
 
     if kind == "stealthy":
@@ -166,7 +141,7 @@ def generate(description: dict, attacker_ids, clock: TickClock,
                 while ticks and t - ticks[-1] <= eps:
                     attempts += 1
                     if attempts > _MAX_RESAMPLES_PER_TICK:
-                        raise ScheduleError("stealthy window too narrow for the separation constraint")
+                        raise ConfigError("stealthy window too narrow for the separation constraint")
                     t = rng.randrange(start, end + 1)
                 ticks.append(t)
                 start += half
@@ -178,11 +153,11 @@ def generate(description: dict, attacker_ids, clock: TickClock,
     total = description["total_pulses"]
     if not ids:
         if total:
-            raise ScheduleError("random_budget with pulses but no attackers")
+            raise ConfigError("random_budget with pulses but no attackers")
         return []
     per_attacker_max = -(-total // len(ids))  # ceil
     if per_attacker_max > _capacity(horizon, eps):
-        raise ScheduleError(
+        raise ConfigError(
             f"budget of {total} pulses over {len(ids)} attackers exceeds the "
             f"channel capacity of {_capacity(horizon, eps)} pulses per attacker"
         )

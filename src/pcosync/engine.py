@@ -32,11 +32,13 @@ reads its phase as ``state.offset + now``. An oscillator parked at the top
 ignores pulses but still counts them, so a pulse sent to it is added to its
 receive log when it is emitted instead of being queued.
 
-No instant needs a delivery cap: the pop and pending loops skip oscillators
-already parked at the top, so each fires at most once per instant, and
-``Simulation`` rejects a schedule that repeats a tick, so each attacker
-pulses at most once per tick. An instant makes at most sum(outdegree) <=
-n(n-1) deliveries.
+``Simulation`` is the one check of an attack schedule: the channel lets an
+attacker pulse at int ticks from 0 on, each more than ``epsilon_ticks``
+after the last, and any other schedule raises ``ConfigError``. No instant
+needs a delivery cap: the pop and pending loops skip oscillators already
+parked at the top, so each fires at most once per instant, and each
+attacker pulses at most once per tick. An instant makes at most
+sum(outdegree) <= n(n-1) deliveries.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import heapq
 from collections import deque, namedtuple
 from dataclasses import dataclass, field
 
-from .core import TickClock
+from .core import ConfigError, TickClock
 from .topology import Topology
 
 # event-log record kinds
@@ -162,11 +164,11 @@ class Simulation:
     """One seeded scenario wired up and ready to run.
 
     ``mechanisms`` maps every legitimate oscillator id to its decision
-    object; ``schedules`` maps attacker ids to emission ticks, strictly
-    increasing nonnegative ``int``s (at most one pulse per tick); ticks past
-    the horizon are never emitted. ``initial_phases`` maps
-    legitimate ids to ticks in [0, ticks_per_period]; a start value at the
-    very top of the cycle is resolved by the engine at tick 0.
+    object; ``schedules`` maps attacker ids to emission ticks, ``int``s from
+    0 on, each more than ``epsilon_ticks`` after the last, or ``ConfigError``
+    is raised; ticks past the horizon are never emitted. ``initial_phases``
+    maps legitimate ids to ``int`` ticks in [0, ticks_per_period]; a start
+    value at the very top of the cycle is resolved by the engine at tick 0.
     """
 
     def __init__(
@@ -197,15 +199,20 @@ class Simulation:
             raise ValueError("initial phases must cover exactly the legitimate oscillators")
         tpp = clock.ticks_per_period
         for i, p in initial_phases.items():
-            if not 0 <= p <= tpp:
-                raise ValueError(f"initial phase of oscillator {i} outside [0, ticks_per_period]")
+            if type(p) is not int or not 0 <= p <= tpp:
+                raise ValueError(
+                    f"initial phase of oscillator {i} is not an int in [0, ticks_per_period]")
         self.schedules = {a: tuple(v) for a, v in (schedules or {}).items()}
         if any(a not in attacker_set for a in self.schedules):
             raise ValueError("schedule present for a non-attacker id")
+        eps = clock.epsilon_ticks
         for a, ticks in self.schedules.items():
-            if not all(type(t) is int and s < t for s, t in zip((-1,) + ticks, ticks)):
-                raise ValueError(
-                    f"schedule of attacker {a} is not strictly increasing nonnegative ints")
+            for s, t in zip((-1 - eps,) + ticks, ticks):
+                if type(t) is not int or t - s <= eps:
+                    at = f"ticks {s}, {t!r}" if s >= 0 else f"first tick {t!r}"
+                    raise ConfigError(
+                        f"schedule of attacker {a} breaks the channel rule (int ticks from 0 on, "
+                        f"each more than epsilon_ticks={eps} after the last) at {at}")
         self.mechanisms = dict(mechanisms)
         self.initial_phases = dict(initial_phases)
 

@@ -1,8 +1,9 @@
 """Reference computations the tests check the simulator against.
 
 They restate a documented rule directly (a float response curve, a floor
-identity, a reachability search, an arc per snapshot) and are not part of the
-package: nothing in ``src/`` needs them to run a scenario.
+identity, a reachability search, an arc per snapshot, the channel's pulse
+separation) and are not part of the package: nothing in ``src/`` needs them
+to run a scenario.
 """
 
 import math
@@ -35,6 +36,12 @@ def floor_split_holds(x: int, y: int, q: int) -> bool:
         raise ValueError("require x > y >= 1 and q >= 1")
     lead = y * q // x
     return lead >= y * (q // x) and lead + (x - y) * q // x + 1 >= q
+
+
+def eps_separated(ticks: tuple, eps: int) -> bool:
+    """The channel rule for one attacker's train: int ticks from 0 on, each more than eps after the last."""
+    return (all(type(t) is int for t in ticks) and min(ticks, default=0) >= 0
+            and all(b - a > eps for a, b in zip(ticks, ticks[1:])))
 
 
 def is_strongly_connected(topology) -> bool:

@@ -343,7 +343,7 @@ def test_acceptance_09_attacker_pulses_alone_cannot_shift():
         horizon=2 * TPP,
         attacker_ids=(1, 2, 3),
         schedules={
-            1: (TPP,) + tuple(range(TPP + 100, 2 * TPP, EPS + 1)),
+            1: (TPP,) + tuple(range(TPP + 100 + EPS + 1, 2 * TPP, EPS + 1)),
             2: tuple(range(TPP + 3_400, 2 * TPP, EPS + 1)),
             3: tuple(range(TPP + 6_900, 2 * TPP, EPS + 1)),
         },

@@ -217,8 +217,11 @@ BAD_SCENARIOS = {
     "phases-scope-int": with_fields(small_scenario(), initial_phases={"random_uniform": 5}),
     "seed-scope-int": attacked_scenario(seed_scope=7),
     "scripted-closer-than-epsilon": shipped_with_attack(kind="scripted", ticks={"1": [5, 6]}),
+    "scripted-gap-of-epsilon": shipped_with_attack(kind="scripted", ticks={"1": [0, 10_000]}),
     "periodic-below-epsilon": shipped_with_attack(kind="periodic", period_ticks=5,
                                                   horizon_ticks=1_000_000),
+    "periodic-at-epsilon": shipped_with_attack(kind="periodic", period_ticks=10_000,
+                                               horizon_ticks=1_000_000),
     "periodic-seed-scope": shipped_with_attack(kind="periodic", period_ticks=250_000,
                                                horizon_ticks=1_000_000, seed_scope="attack"),
     "scripted-attacker-twice": shipped_with_attack(kind="scripted",
@@ -241,6 +244,13 @@ def test_malformed_config_gets_one_error_line(tmp_path, capsys, command, data):
     err = capsys.readouterr().err.splitlines()
     assert code == 1
     assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+def test_single_pulse_periodic_train_is_legal(tmp_path, capsys):
+    # a period at or below epsilon is legal when the horizon leaves room for one pulse only
+    data = shipped_with_attack(kind="periodic", period_ticks=10_000, horizon_ticks=5_000)
+    assert main(["validate", "--config", write_config(tmp_path, data)]) == 0
+    capsys.readouterr()
 
 
 def test_shipped_configs_parse(capsys):

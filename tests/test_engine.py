@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from pcosync.core import TickClock
+from pcosync.core import ConfigError, TickClock
 from pcosync.engine import (
     FIRED,
     RECEIVED,
@@ -347,7 +347,7 @@ def test_attacker_pulses_alone_never_shift_after_zero_reset():
     topo = from_adjacency([[1, 2, 3], [0], [0], [0]])
     step = EPS + 7
     schedules = {
-        1: (TPP,) + tuple(range(TPP + 100, 2 * TPP, step)),
+        1: (TPP,) + tuple(range(TPP + 100 + step, 2 * TPP, step)),
         2: tuple(range(TPP + 140, 2 * TPP, step)),
         3: tuple(range(TPP + 180, 2 * TPP, step)),
     }
@@ -371,16 +371,20 @@ def test_simulation_input_validation():
         Simulation(CLOCK, topo, {0: mech}, {0: 0}, horizon=0)
     with pytest.raises(ValueError):
         Simulation(CLOCK, topo, {0: mech}, {0: 0, 1: 0}, horizon=TPP)  # mechanisms incomplete
-    with pytest.raises(ValueError):
-        Simulation(CLOCK, topo, {0: mech, 1: mech}, {0: TPP + 1, 1: 0}, horizon=TPP)
+    for phases in [{0: TPP + 1, 1: 0}, {0: 0.5, 1: True}]:
+        with pytest.raises(ValueError, match="oscillator 0"):
+            Simulation(CLOCK, topo, {0: mech, 1: mech}, phases, horizon=TPP)
     with pytest.raises(ValueError):
         Simulation(CLOCK, topo, {0: mech, 1: mech}, {0: 0, 1: 0}, horizon=TPP,
                    schedules={0: (5,)})  # schedule for a non-attacker
-    # an attacker pulses at most once per tick, at nonnegative int ticks
-    for ticks in [(10, 10), (10, 5), (-1,), (True,)]:
-        with pytest.raises(ValueError, match="schedule of attacker 1"):
+    # an attacker pulses at int ticks from 0 on, each more than eps after the last
+    for ticks in [(10, 10), (10, 5), (-1,), (True,), (0, EPS), (-1, EPS + 5)]:
+        with pytest.raises(ConfigError, match="schedule of attacker 1"):
             Simulation(CLOCK, topo, {0: mech}, {0: 0}, horizon=TPP,
                        attacker_ids=(1,), schedules={1: ticks})
+    for ticks in [(0, EPS + 1, 2 * EPS + 2), ()]:
+        Simulation(CLOCK, topo, {0: mech}, {0: 0}, horizon=TPP,
+                   attacker_ids=(1,), schedules={1: ticks})
 
 
 @pytest.mark.parametrize("config_name", sorted(p.name for p in CONFIG_DIR.glob("circle24_*.json")))
