@@ -38,7 +38,13 @@ _MAX_RESAMPLES_PER_TICK = 1000
 
 @dataclass(frozen=True)
 class AttackSchedule:
-    """Sorted emission ticks for one attacker, gaps strictly above epsilon."""
+    """Emission ticks for one attacker, as ``generate`` built them.
+
+    The type does not promise the channel rule (int ticks from 0 on, each
+    more than ``epsilon_ticks`` after the last): a ``scripted`` or
+    ``periodic`` train is returned unchecked, and ``Simulation.__init__`` is
+    the one check of the rule.
+    """
 
     attacker: int
     ticks: tuple[int, ...]

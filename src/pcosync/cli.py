@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .core import TWO_PI, ConfigError
-from .engine import EngineError, RECEIVED
+from .engine import FIRED, RECEIVED, EngineError
 from .metrics import containing_arc_ticks
 from .scenario import (
     build_simulation,
@@ -57,6 +57,17 @@ def _load_json(path: str) -> dict:
     return data
 
 
+def _out_dir(path: str) -> Path:
+    """The output directory, created before anything runs, so a path that
+    cannot take the outputs fails at once, with one error line."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+    return out_dir
+
+
 def _scenario_from_args(args):
     data = _load_json(args.config)
     if args.seed is not None:
@@ -93,37 +104,52 @@ def cmd_validate(args) -> int:
 
 
 def _event_lines(result):
-    # the same bytes as json.dumps(..., separators=(",", ":")) of each record:
-    # every field is an int or a fixed kind name
-    for rec in result.iter_records():
-        if rec.kind == RECEIVED:
-            yield (f'{{"tick":{rec.tick},"type":"received","receiver":{rec.node},'
-                   f'"sender":{rec.sender},"seq":{rec.seq}}}\n')
-        else:
-            yield f'{{"tick":{rec.tick},"type":"{rec.kind}","id":{rec.node}}}\n'
+    """events.jsonl, one chunk per instant.
+
+    The same bytes as ``json.dumps(..., separators=(",", ":"))`` of each of
+    ``result.iter_records()``: every field is an int or a fixed kind name.
+    The middle of a ``received`` line is fixed per (receiver, sender), so
+    it is built once per edge.
+    """
+    middles = [[f',"type":"{RECEIVED}","receiver":{r},"sender":{sender},"seq":' for r in row]
+               for sender, row in enumerate(result.adjacency)]
+    seq = 1  # seq of the next delivery
+    for t, _, events in result.instants:
+        if not events:
+            continue
+        head = f'{{"tick":{t}'
+        chunk = []
+        for kind, node in events:
+            chunk.append(f'{head},"type":"{kind}","id":{node}}}\n')
+            if kind == FIRED:
+                mids = middles[node]
+                chunk += [f"{head}{m}{q}}}\n" for q, m in enumerate(mids, seq)]
+                seq += len(mids)
+        yield "".join(chunk)
 
 
 def _phase_lines(result):
+    """phases.csv, one chunk per row; each distinct phase of a row is formatted once."""
     tpp = result.clock.ticks_per_period
     scale = TWO_PI / tpp
     header = ["tick", "seconds", "arc_rad"] + [f"phase_rad_{i}" for i in result.legit_ids]
     yield ",".join(header) + "\n"
     last = None
     for t, offsets in result.rows():
-        if offsets is not last:  # the arc changes only at instants
+        if offsets is not last:  # the arc and the distinct offsets change only at instants
             last, arc = offsets, _fmt9(containing_arc_ticks(offsets, tpp) * scale)
-        # _fmt9 inlined: ~420k phase cells in a 200-period run
-        phases = ",".join([f"{(o + t) * scale:.9g}" for o in offsets])
-        yield f"{t},{_fmt9(t * scale)},{arc},{phases}\n"
+            distinct = tuple(set(offsets))
+            slots = [distinct.index(o) for o in offsets]
+        cells = [f"{(o + t) * scale:.9g}" for o in distinct]
+        yield f"{t},{t * scale:.9g},{arc},{','.join([cells[s] for s in slots])}\n"
 
 
 def write_run_outputs(artifacts, out_dir: Path) -> None:
-    """events.jsonl, phases.csv and summary.json for one completed run."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """events.jsonl, phases.csv and summary.json of one completed run, in the existing out_dir."""
     for name, lines in (("events.jsonl", _event_lines), ("phases.csv", _phase_lines)):
         with open(out_dir / name, "w", encoding="utf-8") as fh:
-            for line in lines(artifacts.result):
-                fh.write(line)
+            for chunk in lines(artifacts.result):
+                fh.write(chunk)
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(artifacts.summary.to_dict(), fh, indent=2)
         fh.write("\n")
@@ -131,9 +157,12 @@ def write_run_outputs(artifacts, out_dir: Path) -> None:
 
 def cmd_run(args) -> int:
     config = _scenario_from_args(args)
+    out_dir = _out_dir(args.out_dir)
     artifacts = run_scenario(config)
-    out_dir = Path(args.out_dir)
-    write_run_outputs(artifacts, out_dir)
+    try:
+        write_run_outputs(artifacts, out_dir)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_dir}: {exc}") from None
     s = artifacts.summary
     if s.sync_tick is None:
         print(f"seed {s.seed}: no synchronization within {s.horizon_ticks} ticks "
@@ -154,17 +183,18 @@ def cmd_sweep(args) -> int:
     if args.seed is not None:
         data["seed_base"] = args.seed
     sweep = parse_sweep(data)
+    out_dir = _out_dir(args.out_dir)
     aggregate, summaries = run_sweep(sweep)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "aggregate.json", "w", encoding="utf-8") as fh:
-        json.dump(aggregate, fh, indent=2)
-        fh.write("\n")
+    files = [("aggregate.json", aggregate)]
     if sweep.write_run_summaries:
-        for s in summaries:
-            with open(out_dir / f"run_{s['seed']}.json", "w", encoding="utf-8") as fh:
-                json.dump(s, fh, indent=2)
+        files += [(f"run_{s['seed']}.json", s) for s in summaries]
+    try:
+        for name, doc in files:
+            with open(out_dir / name, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=2)
                 fh.write("\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_dir}: {exc}") from None
     print(f"{aggregate['synced_runs']}/{aggregate['runs']} runs synchronized")
     if aggregate["counterexample_seeds"]:
         print(f"counterexample seeds: {aggregate['counterexample_seeds']}")

@@ -2,10 +2,11 @@
 
 They restate a documented rule directly (a float response curve, a floor
 identity, a reachability search, an arc per snapshot, the channel's pulse
-separation) and are not part of the package: nothing in ``src/`` needs them
-to run a scenario.
+separation, the run files as plain dumps of the derived views) and are not
+part of the package: nothing in ``src/`` needs them to run a scenario.
 """
 
+import json
 import math
 
 from pcosync.core import TWO_PI
@@ -70,3 +71,29 @@ def arc_trace(result) -> list:
     """(tick, arc ticks) per snapshot of a completed run."""
     tpp = result.clock.ticks_per_period
     return [(s.tick, containing_arc_ticks(s.phases, tpp)) for s in result.snapshots]
+
+
+def run_file_texts(result) -> dict:
+    """The text of events.jsonl and phases.csv, one plain dump per record and per snapshot.
+
+    An events line is the compact JSON of one of ``result.records``; a phases
+    row is the tick, the seconds, the containing arc and every phase of one
+    of ``result.snapshots``, radians and seconds with 9 significant digits.
+    """
+    events = []
+    for r in result.records:
+        if r.kind == "received":
+            fields = {"tick": r.tick, "type": r.kind, "receiver": r.node,
+                      "sender": r.sender, "seq": r.seq}
+        else:
+            fields = {"tick": r.tick, "type": r.kind, "id": r.node}
+        events.append(json.dumps(fields, separators=(",", ":")) + "\n")
+    tpp = result.clock.ticks_per_period
+    scale = TWO_PI / tpp
+    rows = [",".join(["tick", "seconds", "arc_rad"]
+                     + [f"phase_rad_{i}" for i in result.legit_ids]) + "\n"]
+    for s in result.snapshots:
+        radians = [s.tick * scale, containing_arc_ticks(s.phases, tpp) * scale,
+                   *(p * scale for p in s.phases)]
+        rows.append(",".join([str(s.tick)] + [f"{x:.9g}" for x in radians]) + "\n")
+    return {"events.jsonl": "".join(events), "phases.csv": "".join(rows)}

@@ -3,7 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from pcosync.cli import main
+from oracles import run_file_texts
+from pcosync import cli
+from pcosync.cli import main, write_run_outputs
+from pcosync.scenario import parse_scenario, run_scenario
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -140,6 +143,78 @@ def test_sweep_run_summaries_written_on_request(tmp_path, capsys):
                  "--out-dir", str(out), "--runs", "2"]) == 0
     capsys.readouterr()
     assert sorted(p.name for p in out.glob("run_*.json")) == ["run_7.json", "run_8.json"]
+
+
+@pytest.mark.parametrize("command,out", [
+    ("run", "file"),  # the out-dir is an existing file
+    ("sweep", "file/x"),  # the out-dir lies below one
+    ("run", "dir"),  # the out-dir holds a directory named events.jsonl
+])
+def test_unusable_out_dir_gets_one_error_line(tmp_path, capsys, command, out):
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir" / "events.jsonl").mkdir(parents=True)
+    data = small_scenario()
+    if command == "sweep":
+        data = {"base": data, "runs": 2, "seed_base": 1}
+    code = main([command, "--config", write_config(tmp_path, data),
+                 "--out-dir", str(tmp_path / out)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {tmp_path / out}: "), err
+
+
+@pytest.mark.parametrize("name,horizon", [
+    ("circle24_conventional_clean.json", None),  # rows hold several distinct phases
+    ("circle24_quorum_n_attacked.json", None),
+    ("circle24_quorum_n_attacked.json", 12_345_678),  # off the 1/100-period cadence
+])
+def test_run_files_are_dumps_of_the_derived_views(tmp_path, name, horizon):
+    data = json.loads((CONFIG_DIR / name).read_text())
+    if horizon is not None:
+        data["horizon_ticks"] = horizon
+    artifacts = run_scenario(parse_scenario(data))
+    write_run_outputs(artifacts, tmp_path)
+    for f, text in run_file_texts(artifacts.result).items():
+        got = (tmp_path / f).read_text(encoding="utf-8").splitlines(keepends=True)
+        want = text.splitlines(keepends=True)
+        # the first differing line, not a diff of megabytes
+        first = next((k for k, (g, w) in enumerate(zip(got, want)) if g != w),
+                     min(len(got), len(want)))
+        assert first == len(got) == len(want), (f, first, got[first:first + 1],
+                                                want[first:first + 1])
+
+
+class WriteOnlyFile:
+    """A file opened for writing that offers write and the context protocol, nothing else."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, text):
+        return self._fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+
+def test_outputs_need_only_write(tmp_path, capsys, monkeypatch):
+    def write_only_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        return WriteOnlyFile(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(cli, "open", write_only_open, raising=False)
+    cfg = write_config(tmp_path, small_scenario())
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "run")]) == 0
+    sweep = {"base": small_scenario(), "runs": 2, "seed_base": 1, "write_run_summaries": True}
+    assert main(["sweep", "--config", write_config(tmp_path, sweep, "sweep.json"),
+                 "--out-dir", str(tmp_path / "sweep")]) == 0
+    capsys.readouterr()
+    for f in ("run/events.jsonl", "run/phases.csv", "run/summary.json",
+              "sweep/aggregate.json", "sweep/run_1.json", "sweep/run_2.json"):
+        assert (tmp_path / f).stat().st_size > 0, f
 
 
 def test_topology_text_json_csv(tmp_path, capsys):
