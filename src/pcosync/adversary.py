@@ -7,12 +7,12 @@ one attacker must be spaced strictly more than ``epsilon_ticks`` apart.
 ``read_attack`` is the one reader of a scenario's attack section: it checks
 the section and returns its canonical description, the dict the config
 digest is built from. ``generate`` builds the schedules from a description:
-a random budget spread over a window, strictly periodic trains, a
-one-pulse-per-half-period stealthy pattern, or verbatim scripted schedules.
-``generate`` does not check the rule: a scripted train or a periodic
-period at or below ``epsilon_ticks`` passes through to ``Simulation``, which
-rejects it. It raises ``ConfigError`` only when a random budget or a
-stealthy window leaves no room for a legal train.
+verbatim scripted trains, or a random budget spread over a window. Any
+legal train, periodic ones included, is a scripted train, and every run's
+``attack_schedules`` replay as one. ``generate`` does not check the rule: a
+scripted train passes through to ``Simulation``, which rejects an illegal
+one. It raises ``ConfigError`` only when a random budget has no attacker
+to carry it or exceeds the channel's capacity.
 """
 
 from __future__ import annotations
@@ -26,11 +26,7 @@ from .core import ConfigError, TickClock, read_int
 _ATTACK_FIELDS = {
     "scripted": ("ticks",),
     "random_budget": ("total_pulses", "horizon_ticks", "seed_scope"),
-    "periodic": ("period_ticks", "horizon_ticks"),
-    "stealthy": ("horizon_ticks", "seed_scope"),
 }
-# the least value each integer field takes
-_LEAST = {"total_pulses": 0, "horizon_ticks": 0, "period_ticks": 1}
 
 SEED_SCOPE = "attack"
 _MAX_RESAMPLES_PER_TICK = 1000
@@ -41,9 +37,9 @@ class AttackSchedule:
     """Emission ticks for one attacker, as ``generate`` built them.
 
     The type does not promise the channel rule (int ticks from 0 on, each
-    more than ``epsilon_ticks`` after the last): a ``scripted`` or
-    ``periodic`` train is returned unchecked, and ``Simulation.__init__`` is
-    the one check of the rule.
+    more than ``epsilon_ticks`` after the last): a ``scripted`` train is
+    returned unchecked, and ``Simulation.__init__`` is the one check of the
+    rule.
     """
 
     attacker: int
@@ -86,8 +82,8 @@ def read_attack(section, attacker_ids: tuple[int, ...]) -> dict:
                 raise ConfigError(f"attackers.attack.seed_scope must be a string, not {value!r}")
         elif f in section:
             value = read_int(section[f], f"attackers.attack.{f}")
-            if value < _LEAST[f]:
-                raise ConfigError(f"attackers.attack.{f} must be at least {_LEAST[f]}, not {value}")
+            if value < 0:
+                raise ConfigError(f"attackers.attack.{f} must be at least 0, not {value}")
         else:
             raise ConfigError(f"{kind} attack needs {f}")
         description[f] = value
@@ -100,7 +96,13 @@ def _capacity(horizon: int, eps: int) -> int:
 
 
 def _enforce_separation(ticks: list[int], eps: int, horizon: int, rng: Random) -> list[int]:
-    """Resample later ticks of too-close pairs until all gaps exceed epsilon."""
+    """Resample later ticks of too-close pairs until all gaps exceed epsilon.
+
+    A train near the channel's capacity may exhaust the resample budget;
+    it is then drawn directly: k sorted distinct values y from the horizon
+    less the k-1 gaps of eps, and tick j is y_j + j*eps, so every gap
+    exceeds eps and the last tick is at most ``horizon``.
+    """
     ticks.sort()
     budget = _MAX_RESAMPLES_PER_TICK * max(1, len(ticks))
     while True:
@@ -111,7 +113,9 @@ def _enforce_separation(ticks: list[int], eps: int, horizon: int, rng: Random) -
             return ticks
         budget -= 1
         if budget <= 0:
-            raise ConfigError("could not satisfy pulse separation within the resample budget")
+            k = len(ticks)
+            y = sorted(rng.sample(range(horizon - (k - 1) * eps + 1), k))
+            return [y_j + j * eps for j, y_j in enumerate(y)]
         ticks[i + 1] = rng.randrange(horizon + 1)
         ticks.sort()
 
@@ -129,33 +133,9 @@ def generate(description: dict, attacker_ids, clock: TickClock,
         scripted = description["ticks"]
         return [AttackSchedule(a, tuple(scripted.get(str(a), ()))) for a in ids]
 
-    horizon = description["horizon_ticks"]
-    if kind == "periodic":
-        ticks = tuple(range(0, horizon + 1, description["period_ticks"]))
-        return [AttackSchedule(a, ticks) for a in ids]
-
-    if kind == "stealthy":
-        half = clock.ticks_per_period // 2
-        schedules = []
-        for a in ids:
-            ticks: list[int] = []
-            start = 0
-            while start < horizon:
-                end = min(start + half - 1, horizon)
-                t = rng.randrange(start, end + 1)
-                attempts = 0
-                while ticks and t - ticks[-1] <= eps:
-                    attempts += 1
-                    if attempts > _MAX_RESAMPLES_PER_TICK:
-                        raise ConfigError("stealthy window too narrow for the separation constraint")
-                    t = rng.randrange(start, end + 1)
-                ticks.append(t)
-                start += half
-            schedules.append(AttackSchedule(a, tuple(ticks)))
-        return schedules
-
     # random_budget: draw ticks uniformly over [0, horizon], deal them
     # round-robin over a shuffled attacker order, then repair separations
+    horizon = description["horizon_ticks"]
     total = description["total_pulses"]
     if not ids:
         if total:

@@ -31,19 +31,6 @@ EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
 
-class _UsageError(Exception):
-    def __init__(self, message: str):
-        self.message = message
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage errors; the CLI contract reserves 2 for
-    # failed guarantee validation, so remap to exit code 1
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise _UsageError(f"{self.prog}: error: {message}")
-
-
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -235,9 +222,9 @@ def cmd_topology(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="pcosync",
-                     description="Deterministic pulse-coupled oscillator network simulator")
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="pcosync", description="Deterministic pulse-coupled oscillator network simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_validate = sub.add_parser("validate", help="check synchronization guarantee conditions")
@@ -270,8 +257,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(exc.message, file=sys.stderr)
+    except SystemExit as exc:
+        # argparse exits with 2 on a usage error, after printing it; the CLI
+        # contract reserves 2 for failed guarantee validation
+        if exc.code != 2:
+            raise
         return EXIT_USAGE
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -190,7 +190,7 @@ def build_simulation(config: ScenarioConfig):
     phases = draw_initial_phases(config, legit_ids)
     schedules = []
     if config.attack_desc is not None:
-        # scripted and periodic have no seed_scope: they draw nothing from the rng
+        # scripted has no seed_scope: it draws nothing from the rng
         scope = config.attack_desc.get("seed_scope", adversary.SEED_SCOPE)
         rng = Random(scoped_seed(config.seed, scope))
         schedules = adversary.generate(config.attack_desc, config.attacker_ids, config.clock, rng)

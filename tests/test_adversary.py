@@ -8,7 +8,6 @@ from pcosync.core import ConfigError, TickClock
 from oracles import eps_separated
 
 CLOCK = TickClock()
-TPP = CLOCK.ticks_per_period
 EPS = CLOCK.epsilon_ticks
 
 
@@ -48,24 +47,17 @@ def test_random_budget_capacity_bound():
     assert eps_separated(schedules[0].ticks, EPS)
 
 
-def test_periodic():
-    (schedule,) = schedules_of((3,), kind="periodic", period_ticks=TPP // 4,
-                               horizon_ticks=2 * TPP)
-    assert schedule.ticks == tuple(range(0, 2 * TPP + 1, TPP // 4))
-    assert len(schedule.ticks) == 9
-    # generate does not check the channel rule: Simulation rejects this train
-    (dense,) = schedules_of((3,), kind="periodic", period_ticks=EPS, horizon_ticks=TPP)
-    assert dense.ticks[:2] == (0, EPS) and not eps_separated(dense.ticks, EPS)
-
-
-def test_stealthy_one_pulse_per_half_period():
-    schedules = schedules_of((0, 1), 5, kind="stealthy", horizon_ticks=4 * TPP)
-    half = TPP // 2
-    for s in schedules:
-        assert eps_separated(s.ticks, EPS)
-        assert len(s.ticks) == 8
-        for k, t in enumerate(s.ticks):
-            assert k * half <= t < (k + 1) * half
+@pytest.mark.parametrize("seed", range(5))
+def test_random_budget_at_channel_capacity(seed):
+    # 70 pulses over 700,000 ticks is exactly the capacity: the resampler runs
+    # out of budget, and the train is drawn directly instead
+    horizon = 700_000
+    assert horizon // (EPS + 1) + 1 == 70
+    (schedule,) = schedules_of((0,), seed, kind="random_budget", total_pulses=70,
+                               horizon_ticks=horizon)
+    assert len(schedule.ticks) == 70
+    assert eps_separated(schedule.ticks, EPS)
+    assert 0 <= schedule.ticks[0] and schedule.ticks[-1] <= horizon
 
 
 def test_scripted_passthrough_and_boundary():
@@ -78,11 +70,11 @@ def test_scripted_passthrough_and_boundary():
 
 @pytest.mark.parametrize("section,fragment", [
     ({"kind": "bogus"}, "bogus"),
-    ({"kind": "periodic", "horizon_ticks": 100}, "period_ticks"),
-    ({"kind": "periodic", "period_ticks": 0, "horizon_ticks": 100}, "period_ticks"),
+    ({"kind": "periodic", "period_ticks": 10_001, "horizon_ticks": 100},
+     "unknown attack kind 'periodic'"),
+    ({"kind": "stealthy", "horizon_ticks": 100}, "unknown attack kind 'stealthy'"),
     ({"kind": "random_budget", "total_pulses": -1, "horizon_ticks": 100}, "total_pulses"),
     ({"kind": "random_budget", "total_pulses": 5, "horizon_ticks": -1}, "horizon_ticks"),
-    ({"kind": "stealthy", "horizon_ticks": -1}, "horizon_ticks"),
 ])
 def test_read_attack_rejects(section, fragment):
     with pytest.raises(ConfigError) as err:

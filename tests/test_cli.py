@@ -71,9 +71,15 @@ def test_inconsistent_config_exits_one(tmp_path, capsys):
     assert "n_known" in capsys.readouterr().err
 
 
-def test_usage_error_exits_one(capsys):
+def test_usage_error_exits_one(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # argparse wraps the usage line to the terminal width
+    monkeypatch.setenv("NO_COLOR", "1")
     assert main(["run"]) == 1  # missing --config
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "usage: pcosync run [-h] --config CONFIG [--seed SEED] [--horizon TICKS]"
+        " [--out-dir OUT_DIR]\n"
+        "pcosync run: error: the following arguments are required: --config\n"
+    )
 
 
 def test_run_writes_deterministic_outputs(tmp_path, capsys):
@@ -293,12 +299,9 @@ BAD_SCENARIOS = {
     "seed-scope-int": attacked_scenario(seed_scope=7),
     "scripted-closer-than-epsilon": shipped_with_attack(kind="scripted", ticks={"1": [5, 6]}),
     "scripted-gap-of-epsilon": shipped_with_attack(kind="scripted", ticks={"1": [0, 10_000]}),
-    "periodic-below-epsilon": shipped_with_attack(kind="periodic", period_ticks=5,
-                                                  horizon_ticks=1_000_000),
-    "periodic-at-epsilon": shipped_with_attack(kind="periodic", period_ticks=10_000,
-                                               horizon_ticks=1_000_000),
-    "periodic-seed-scope": shipped_with_attack(kind="periodic", period_ticks=250_000,
-                                               horizon_ticks=1_000_000, seed_scope="attack"),
+    "attack-kind-periodic": shipped_with_attack(kind="periodic", period_ticks=250_000,
+                                                horizon_ticks=1_000_000),
+    "attack-kind-stealthy": shipped_with_attack(kind="stealthy", horizon_ticks=1_000_000),
     "scripted-attacker-twice": shipped_with_attack(kind="scripted",
                                                    ticks={"1": [5], "01": [700_000]}),
     "budget-over-capacity": shipped_with_attack(kind="random_budget", total_pulses=1_000_000,
@@ -321,9 +324,9 @@ def test_malformed_config_gets_one_error_line(tmp_path, capsys, command, data):
     assert len(err) == 1 and err[0].startswith("error: "), err
 
 
-def test_single_pulse_periodic_train_is_legal(tmp_path, capsys):
-    # a period at or below epsilon is legal when the horizon leaves room for one pulse only
-    data = shipped_with_attack(kind="periodic", period_ticks=10_000, horizon_ticks=5_000)
+def test_single_pulse_scripted_train_is_legal(tmp_path, capsys):
+    # one pulse has no gap to check, so it is legal at any tick from 0 on
+    data = shipped_with_attack(kind="scripted", ticks={"1": [0]})
     assert main(["validate", "--config", write_config(tmp_path, data)]) == 0
     capsys.readouterr()
 

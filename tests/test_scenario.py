@@ -44,8 +44,8 @@ ROUND_TRIP = {
     **{path.stem: json.loads(path.read_text()) for path in sorted(CONFIG_DIR.glob("circle24_*.json"))},
     "sweep-base": json.loads((CONFIG_DIR / "sweep_quorum_n_attacked.json").read_text())["base"],
     "scripted": with_attack(kind="scripted", ticks={"20": [7], "1": [5, 20_006]}),
-    "periodic": with_attack(kind="periodic", period_ticks=10_001, horizon_ticks=3_000_000),
-    "stealthy": with_attack(kind="stealthy", horizon_ticks=3e6, seed_scope="sneak"),
+    "random-budget-scoped": with_attack(kind="random_budget", total_pulses=40,
+                                        horizon_ticks=3e6, seed_scope="sneak"),
 }
 
 
@@ -192,13 +192,15 @@ def test_overbudget_dense_attack_breaks_guarantee_bound():
     # one attacker over the degree-quorum budget, pulsing at channel capacity:
     # synchronization is no longer achieved within the guaranteed 1.5 periods,
     # while the within-budget variant of the same attack meets the bound
+    train = list(range(0, 6_000_001, 10_001))
+
     def dense(ids):
         return parse_scenario({
             "topology": {"kind": "circle", "n": 24, "diameter": 40, "range": 39},
             "mechanism": {"kind": "quorum_degree"},
             "attackers": {"ids": ids,
-                          "attack": {"kind": "periodic", "period_ticks": 10_001,
-                                     "horizon_ticks": 6_000_000}},
+                          "attack": {"kind": "scripted",
+                                     "ticks": {str(a): train for a in ids}}},
             "horizon_ticks": 6_000_000,
             "seed": 5,
         })
