@@ -55,21 +55,12 @@ def _out_dir(path: str) -> Path:
     return out_dir
 
 
-def _scenario_from_args(args):
-    data = _load_json(args.config)
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.horizon is not None:
-        data["horizon_ticks"] = args.horizon
-    return parse_scenario(data)
-
-
 def _fmt9(x: float) -> str:
     return f"{x:.9g}"
 
 
 def cmd_validate(args) -> int:
-    config = _scenario_from_args(args)
+    config = parse_scenario(_load_json(args.config))
     build_simulation(config)  # rejects what `run` rejects, such as an attack that cannot be scheduled
     report = conditions_for(config)
     if report is None:
@@ -143,7 +134,12 @@ def write_run_outputs(artifacts, out_dir: Path) -> None:
 
 
 def cmd_run(args) -> int:
-    config = _scenario_from_args(args)
+    data = _load_json(args.config)
+    if args.seed is not None:
+        data["seed"] = args.seed
+    if args.horizon is not None:
+        data["horizon_ticks"] = args.horizon
+    config = parse_scenario(data)
     out_dir = _out_dir(args.out_dir)
     artifacts = run_scenario(config)
     try:
@@ -234,9 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in (p_validate, p_run, p_sweep, p_topology):
         p.add_argument("--config", required=True, help="path to the JSON configuration")
-    for p in (p_validate, p_run):
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        p.add_argument("--horizon", type=int, default=None, metavar="TICKS",
+    # validate takes neither: its verdict depends only on topology, mechanism and attackers
+    p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    p_run.add_argument("--horizon", type=int, default=None, metavar="TICKS",
                        help="override the simulation horizon")
     p_run.add_argument("--out-dir", default="out", help="output directory (default: out)")
     p_sweep.add_argument("--out-dir", default="out", help="output directory (default: out)")

@@ -28,16 +28,16 @@ top of the cycle (so fire suppression applies mid-cascade), and
 same-instant pulses is in the receive log. ``on_pulse`` sees the receive log
 pruned to the trailing half period, with the pulse being handled as its
 newest entry: every earlier entry arrived before that pulse. A mechanism
-reads its phase as ``state.offset + now``. An oscillator parked at the top
-ignores pulses but still counts them, so a pulse sent to it is added to its
-receive log when it is emitted instead of being queued.
+reads its phase as ``state.offset + now``. Every pulse to a legitimate
+oscillator is queued and added to its receive log when delivered; an
+oscillator parked at the top ignores pulses but still counts them.
 
 ``Simulation`` is the one check of an attack schedule: the channel lets an
 attacker pulse at int ticks from 0 on, each more than ``epsilon_ticks``
 after the last, and any other schedule raises ``ConfigError``. No instant
-needs a delivery cap: the pop and pending loops skip oscillators already
-parked at the top, so each fires at most once per instant, and each
-attacker pulses at most once per tick. An instant makes at most
+needs a delivery cap: an oscillator already parked at the top is never
+parked again in the same instant, so each fires at most once per instant,
+and each attacker pulses at most once per tick. An instant makes at most
 sum(outdegree) <= n(n-1) deliveries.
 """
 
@@ -228,6 +228,8 @@ class Simulation:
 
         initial = tuple(self.initial_phases[i] for i in self.legit_ids)
         self._states = states
+        # each sender's legitimate out-neighbours: attackers ignore pulses
+        self._targets = [[r for r in out if r in states] for out in self.topology.adjacency]
         self._legit_states = [states[i] for i in self.legit_ids]
         self._queue = queue
         self._log = []
@@ -254,21 +256,12 @@ class Simulation:
         """Drain every event scheduled at tick t, cascade to a fixpoint and log the instant."""
         queue = self._queue
         states = self._states
+        targets = self._targets
         mechanisms = self.mechanisms
-        adjacency = self.topology.adjacency
         tpp = self.clock.ticks_per_period
         pending: list[int] = []  # receivers in emission order
         at_top: set[int] = set()
         events: list = []
-
-        def emit(sender: int) -> None:
-            # parked receivers only count the pulse and attackers ignore it,
-            # so only pulses that may move a phase are queued
-            for r in adjacency[sender]:
-                if r in at_top:
-                    states[r].receive_log.append(t)
-                elif r in states:
-                    pending.append(r)
 
         def park(i: int) -> bool:
             """Put oscillator i at the cycle top; True if it fires."""
@@ -281,25 +274,22 @@ class Simulation:
                 return True
             return False
 
-        # 1) pop everything scheduled at t (attacker pulses first, then wraps),
-        # then emit in pop order: every same-instant wrap is parked before any
-        # pulse is routed, and fire decisions never read the receive log. A wrap
-        # is current when its node is at the top now; a superseded one may share
-        # the tick of the current one, so a node already parked is skipped
-        senders = []
+        # 1) pop everything scheduled at t (attacker pulses first, then wraps);
+        # a sender queues its pulses at once, as no delivery is processed
+        # before step 2. A wrap is current when its node is at the top now; a
+        # superseded one may share the tick of the current one, so a node
+        # already parked is skipped
         while queue and queue[0][0] == t:
             _, prio, node = heapq.heappop(queue)
             if prio == _PRIO_ATTACK:
                 events.append((FIRED, node))
-                senders.append(node)
-            elif states[node].offset + t == tpp and node not in at_top:
-                if park(node):
-                    senders.append(node)
-        for node in senders:
-            emit(node)
+                pending.extend(targets[node])
+            elif states[node].offset + t == tpp and node not in at_top and park(node):
+                pending.extend(targets[node])
 
-        # 2) process queued deliveries in emission order; shifts park and may
-        # emit, and a list iterator also visits what emit appends during the loop
+        # 2) deliver queued pulses in emission order; every pulse is logged, and
+        # an oscillator parked at the top only counts it. Shifts park and may
+        # fire, and a list iterator also visits what they queue during the loop
         half = tpp // 2
         cutoff = t - half
         for r in pending:
@@ -307,7 +297,7 @@ class Simulation:
             log = st.receive_log
             log.append(t)
             if r in at_top:
-                continue  # parked after this pulse was queued; the pulse still counts
+                continue
             while log[0] < cutoff:
                 log.popleft()
             action = mechanisms[r].on_pulse(st, t)
@@ -321,16 +311,16 @@ class Simulation:
                 if not 0 <= new_phase <= tpp:
                     raise EngineError(
                         f"oscillator {r} jumped to phase {new_phase}, outside [0, {tpp}]")
-                if new_phase == st.offset + t:
-                    continue
                 if new_phase != tpp:
+                    # a jump to the current phase pushes a copy of the current
+                    # wrap; the copies pop at one tick and the dedupe skips one
                     st.offset = new_phase - t
                     heapq.heappush(queue, (tpp - st.offset, _PRIO_WRAP, r))
                     continue
             else:
                 raise EngineError(f"mechanism returned unknown pulse action {kind!r}")
             if park(r):
-                emit(r)
+                pending.extend(targets[r])
 
         # 3) instant settled: oscillators parked at the top pick their reset;
         # logs that took pulses this instant are pruned to the trailing half period

@@ -271,14 +271,15 @@ def run_sweep(sweep: SweepConfig) -> tuple[dict, list[dict]]:
     """
     seeds = [sweep.seed_base + k for k in range(sweep.runs)]
     base = sweep.base
-    if sweep.workers == 1:
+    workers = min(sweep.workers, len(seeds))  # a pool starts every worker it may use
+    if workers == 1:
         summaries = [_sweep_worker(base, s) for s in seeds]
     else:
         # imported here: it costs ~25 ms, and serial runs never use it
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=sweep.workers) as pool:
-            chunk = max(1, len(seeds) // (sweep.workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(seeds) // (workers * 4))
             summaries = list(pool.map(_sweep_worker, [base] * len(seeds), seeds,
                                       chunksize=chunk))
 

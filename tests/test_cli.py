@@ -82,6 +82,16 @@ def test_usage_error_exits_one(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--horizon", "5"]])
+def test_validate_takes_no_scenario_overrides(capsys, flag):
+    # the conditions depend only on topology, mechanism and attackers
+    config = str(CONFIG_DIR / "circle24_quorum_n_attacked.json")
+    assert main(["validate", "--config", config, *flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"pcosync: error: unrecognized arguments: {' '.join(flag)}\n")
+
+
 def test_run_writes_deterministic_outputs(tmp_path, capsys):
     cfg = write_config(tmp_path, small_scenario())
     out_a = tmp_path / "a"

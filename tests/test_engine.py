@@ -239,14 +239,20 @@ def assert_receive_logs_hold_trailing_half_period(sim):
     for i, ticks in received.items():
         newest = max(ticks, default=0)
         assert list(sim._states[i].receive_log) == [t for t in ticks if t >= newest - half]
+    return result
 
 
 class ContractCheckingMechanism:
-    """Delegates to a mechanism and asserts the receive log at every ``on_pulse`` call."""
+    """Delegates to a mechanism, asserts the receive log at every ``on_pulse`` call
+    and records (node, now, pulses logged at now) at every ``on_reach_top`` call."""
 
-    def __init__(self, inner, half, calls):
-        self.inner, self.half, self.calls = inner, half, calls
-        self.fires, self.on_reach_top = inner.fires, inner.on_reach_top
+    def __init__(self, inner, node, half, calls, tops):
+        self.inner, self.node, self.half, self.calls, self.tops = inner, node, half, calls, tops
+        self.fires = inner.fires
+
+    def on_reach_top(self, state, now):
+        self.tops.append((self.node, now, state.receive_log.count(now)))
+        return self.inner.on_reach_top(state, now)
 
     def on_pulse(self, state, now):
         log = state.receive_log
@@ -265,11 +271,15 @@ class ContractCheckingMechanism:
 def test_receive_log_holds_the_trailing_half_period_of_deliveries(config_name, seed):
     sim = shipped_sim(config_name, seed)
     half = sim.clock.ticks_per_period // 2
-    calls = []
-    sim.mechanisms = {i: ContractCheckingMechanism(m, half, calls)
+    calls, tops = [], []
+    sim.mechanisms = {i: ContractCheckingMechanism(m, i, half, calls, tops)
                       for i, m in sim.mechanisms.items()}
-    assert_receive_logs_hold_trailing_half_period(sim)
+    result = assert_receive_logs_hold_trailing_half_period(sim)
     assert calls
+    # the reset decision counts every pulse of its instant, those that reached
+    # the oscillator after it was parked at the top included
+    received = Counter((r.node, r.tick) for r in records_of(result, RECEIVED))
+    assert tops and all(count == received[node, now] for node, now, count in tops)
 
 
 def test_receive_log_kept_while_parked_without_pulses():

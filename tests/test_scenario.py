@@ -89,7 +89,7 @@ def test_defaults_applied():
 
 
 def test_import_leaves_out_what_a_serial_run_never_uses():
-    # the process pool is imported only when a sweep asks for workers
+    # the process pool is imported only when a sweep runs on more than one worker
     import pcosync
 
     code = ("import sys, pcosync; "
@@ -161,6 +161,35 @@ def test_sweep_parallelism_does_not_change_bytes():
     assert json.dumps(agg1, sort_keys=True) == json.dumps(agg2, sort_keys=True)
     assert runs1 == runs2
     assert [s["seed"] for s in runs1] == list(range(100, 106))
+
+
+@pytest.mark.parametrize("runs,workers,pools", [(1, 500, []), (3, 500, [3]), (6, 2, [2])])
+def test_sweep_starts_no_more_workers_than_runs(monkeypatch, runs, workers, pools):
+    # a pool starts all its workers at the first task, so the count is capped
+    # by the run count; the stand-in pool records it and maps serially
+    import concurrent.futures
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    sweep_data = {"base": dict(BASE), "runs": runs, "seed_base": 100, "workers": workers}
+    aggregate, _ = run_sweep(parse_sweep(sweep_data))
+    assert started == pools
+    sweep_data["workers"] = 1
+    assert aggregate == run_sweep(parse_sweep(sweep_data))[0]
 
 
 def test_sweep_aggregate_content():
