@@ -37,8 +37,8 @@ def _load_json(path: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
+        raise ConfigError(f"{path} cannot be parsed: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path} must hold a JSON object")
     return data
@@ -63,11 +63,10 @@ def cmd_validate(args) -> int:
     config = parse_scenario(_load_json(args.config))
     build_simulation(config)  # rejects what `run` rejects, such as an attack that cannot be scheduled
     report = conditions_for(config)
+    print(f"mechanism: {config.mechanism_desc['kind']}")
     if report is None:
-        print(f"mechanism: {config.mechanism_desc['kind']}")
         print("no synchronization guarantee conditions apply to this mechanism")
         return EXIT_OK
-    print(f"mechanism: {report.mechanism}")
     print(f"N={report.n}  d={report.d}  attackers M={report.m}")
     print(f"degree condition: d > {report.degree_bound}: {'pass' if report.degree_ok else 'FAIL'}")
     print(
@@ -129,7 +128,7 @@ def write_run_outputs(artifacts, out_dir: Path) -> None:
             for chunk in lines(artifacts.result):
                 fh.write(chunk)
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(artifacts.summary.to_dict(), fh, indent=2)
+        json.dump(artifacts.summary, fh, indent=2)
         fh.write("\n")
 
 
@@ -147,12 +146,12 @@ def cmd_run(args) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot write {out_dir}: {exc}") from None
     s = artifacts.summary
-    if s.sync_tick is None:
-        print(f"seed {s.seed}: no synchronization within {s.horizon_ticks} ticks "
-              f"(final arc {_fmt9(s.final_arc_rad)} rad)")
+    if s["sync_tick"] is None:
+        print(f"seed {s['seed']}: no synchronization within {s['horizon_ticks']} ticks "
+              f"(final arc {_fmt9(s['final_arc_rad'])} rad)")
     else:
-        print(f"seed {s.seed}: synchronized at tick {s.sync_tick} "
-              f"({_fmt9(s.sync_seconds)} s)")
+        print(f"seed {s['seed']}: synchronized at tick {s['sync_tick']} "
+              f"({_fmt9(s['sync_seconds'])} s)")
     print(f"outputs written to {out_dir}")
     return EXIT_OK
 

@@ -67,7 +67,10 @@ def read_int(value, field: str) -> int:
 
 
 def read_number(value, field: str) -> float:
-    """A finite config number as a float; a bool or a string is not one."""
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ConfigError(f"{field} must be a finite number, not {value!r}")
-    return float(value)
+    """A finite config number as a float; a bool, a string or an int beyond float range is not one."""
+    try:
+        if type(value) in (int, float) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int too large for a float, such as a 401-digit JSON literal
+        pass
+    raise ConfigError(f"{field} must be a finite number, not {value!r}")

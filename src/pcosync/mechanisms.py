@@ -213,17 +213,20 @@ class ConditionReport:
         return dict(vars(self))  # every field is a scalar, in the order above
 
 
-def check_sync_conditions(topology: Topology, mechanism: str, m: int) -> ConditionReport:
+def check_sync_conditions(topology: Topology, mechanism: str, m: int) -> ConditionReport | None:
     """Evaluate the degree and attacker-count bounds that guarantee synchronization.
 
     The network degree d must exceed the kind's degree bound of N, and the
     attacker count m may be at most the response quorum at (N, d). m = 0
-    covers the attack-free guarantees.
+    covers the attack-free guarantees. A kind without quorum rules, such as
+    ``conventional``, has no guarantee: None. An unknown kind raises ``ValueError``.
     """
     if not 0 <= m < topology.n:
         raise ValueError("attacker count m must satisfy 0 <= m < n")
+    if mechanism not in _PARAMETERS:
+        raise ValueError(f"unknown mechanism kind {mechanism!r}")
     if mechanism not in _QUORUM_RULES:
-        raise ValueError(f"no guarantee conditions defined for mechanism {mechanism!r}")
+        return None
     _, response_quorum, degree_bound = _QUORUM_RULES[mechanism]
     n, d = topology.n, topology.network_degree
     bound, max_allowed = degree_bound(n), response_quorum(n, d)

@@ -8,8 +8,6 @@ comparison, never a tolerance test. Radians appear only in reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import TWO_PI, TickClock
 from .engine import FIRED, RESET_TO_ZERO, SimulationResult
 from .mechanisms import ConditionReport
@@ -92,38 +90,9 @@ def common_fire_ticks(result: SimulationResult, after: int = -1) -> list[int]:
     ]
 
 
-@dataclass
-class RunSummary:
-    """Digest of one run; ``to_dict`` keeps the field order below for JSON."""
-
-    seed: int
-    config_digest: str
-    mechanism: str
-    n: int
-    legitimate_ids: list[int]
-    attacker_ids: list[int]
-    horizon_ticks: int
-    conditions: ConditionReport | None
-    sync_tick: int | None
-    sync_seconds: float | None
-    final_arc_rad: float
-    collective_periods: list[int]
-    periods_exact: bool | None
-    initial_phases_ticks: list[int]
-    attack_schedules: dict
-
-    def to_dict(self) -> dict:
-        return {  # overriding a key keeps its place in the order
-            **vars(self),
-            "conditions": self.conditions.to_dict() if self.conditions else None,
-            "sync_seconds": _round9(self.sync_seconds),
-            "final_arc_rad": _round9(self.final_arc_rad),
-        }
-
-
-def _round9(x: float | None):
+def _round9(x: float) -> float:
     # reports print radians/seconds with 9 significant digits
-    return None if x is None else float(f"{x:.9g}")
+    return float(f"{x:.9g}")
 
 
 def summarize_run(
@@ -134,8 +103,11 @@ def summarize_run(
     mechanism: str,
     conditions: ConditionReport | None,
     schedules_jsonable: dict,
-) -> RunSummary:
-    """The summary of one run. With two or more legitimate oscillators,
+) -> dict:
+    """The summary of one run: the mapping ``summary.json`` holds, key for key.
+
+    Floats are rounded to 9 significant digits and ``conditions`` is the
+    report's ``to_dict()`` or None. With two or more legitimate oscillators,
     ``periods_exact`` is never false once ``sync_tick`` is set (see
     :func:`detect_sync`), so it is no evidence beyond ``sync_tick``; the
     acceptance tests' ``verify_run_artifacts`` is the independent check.
@@ -147,21 +119,20 @@ def summarize_run(
     ticks = common_fire_ticks(result, -1 if sync_tick is None else sync_tick)
     periods = [b - a for a, b in zip(ticks, ticks[1:])]
     periods_exact = all(g == tpp for g in periods) if sync_tick is not None and periods else None
-    final_arc = containing_arc(result.final_offsets, clock)
-    return RunSummary(
-        seed=seed,
-        config_digest=config_digest,
-        mechanism=mechanism,
-        n=len(result.legit_ids) + len(result.attacker_ids),
-        legitimate_ids=list(result.legit_ids),
-        attacker_ids=list(result.attacker_ids),
-        horizon_ticks=result.horizon,
-        conditions=conditions,
-        sync_tick=sync_tick,
-        sync_seconds=None if sync_tick is None else clock.ticks_to_seconds(sync_tick),
-        final_arc_rad=final_arc,
-        collective_periods=periods,
-        periods_exact=periods_exact,
-        initial_phases_ticks=list(result.initial_offsets),
-        attack_schedules=schedules_jsonable,
-    )
+    return {
+        "seed": seed,
+        "config_digest": config_digest,
+        "mechanism": mechanism,
+        "n": len(result.legit_ids) + len(result.attacker_ids),
+        "legitimate_ids": list(result.legit_ids),
+        "attacker_ids": list(result.attacker_ids),
+        "horizon_ticks": result.horizon,
+        "conditions": None if conditions is None else conditions.to_dict(),
+        "sync_tick": sync_tick,
+        "sync_seconds": None if sync_tick is None else _round9(clock.ticks_to_seconds(sync_tick)),
+        "final_arc_rad": _round9(containing_arc(result.final_offsets, clock)),
+        "collective_periods": periods,
+        "periods_exact": periods_exact,
+        "initial_phases_ticks": list(result.initial_offsets),
+        "attack_schedules": schedules_jsonable,
+    }

@@ -19,7 +19,7 @@ from random import Random
 from . import adversary, mechanisms, topology as topo_mod
 from .core import TWO_PI, ConfigError, TickClock, read_int, read_number
 from .engine import Simulation, SimulationResult
-from .metrics import RunSummary, summarize_run
+from .metrics import summarize_run
 from .topology import Topology
 
 DEFAULT_HORIZON_PERIODS = 20
@@ -168,14 +168,12 @@ def draw_initial_phases(config: ScenarioConfig, legit_ids) -> dict:
 @dataclass
 class RunArtifacts:
     result: SimulationResult
-    summary: RunSummary
+    summary: dict  # the mapping summary.json holds, rounded floats included (summarize_run)
 
 
 def conditions_for(config: ScenarioConfig) -> mechanisms.ConditionReport | None:
-    kind = config.mechanism_desc["kind"]
-    if kind == mechanisms.KIND_CONVENTIONAL:
-        return None
-    return mechanisms.check_sync_conditions(config.topology, kind, len(config.attacker_ids))
+    return mechanisms.check_sync_conditions(
+        config.topology, config.mechanism_desc["kind"], len(config.attacker_ids))
 
 
 def build_simulation(config: ScenarioConfig):
@@ -255,12 +253,8 @@ def parse_sweep(data: dict) -> SweepConfig:
     )
 
 
-def with_seed(base: ScenarioConfig, seed: int) -> ScenarioConfig:
-    return replace(base, seed=seed)
-
-
 def _sweep_worker(base: ScenarioConfig, seed: int) -> dict:
-    return run_scenario(with_seed(base, seed)).summary.to_dict()
+    return run_scenario(replace(base, seed=seed)).summary
 
 
 def run_sweep(sweep: SweepConfig) -> tuple[dict, list[dict]]:

@@ -179,10 +179,10 @@ def test_acceptance_06a_conventional_small_coupling_never_exact():
     art = run_scenario(parse_scenario(
         scenario("conventional", (), 20 * TPP, seed=1, coupling=0.021)
     ))
-    passed = art.summary.sync_tick is None
+    passed = art.summary["sync_tick"] is None
     report("06a conventional-no-exact-sync", passed,
-           f"final arc {art.summary.final_arc_rad:.4g} rad")
-    assert art.summary.sync_tick is None
+           f"final arc {art.summary['final_arc_rad']:.4g} rad")
+    assert art.summary["sync_tick"] is None
 
 
 def test_acceptance_06b_conventional_small_coupling_final_arc():
@@ -219,7 +219,7 @@ def test_acceptance_06b_conventional_small_coupling_final_arc():
         violations += margin < 0
         if (f or margin < 0) and (worst is None or margin < worst[0]):
             worst = (margin, tick, before, after, floor, ceiling)
-    final_arc = art.summary.final_arc_rad
+    final_arc = art.summary["final_arc_rad"]
     passed = fire_instants > 0 and violations == 0 and final_arc > 0
     detail = f"final arc {final_arc:.4g} rad at 20 periods, {checked} instants checked"
     if worst is not None:
@@ -241,7 +241,7 @@ def test_acceptance_06c_conventional_full_coupling_fails_under_attack():
         art = run_scenario(parse_scenario(
             scenario("conventional", (1, 8, 20), 3_500_000, seed, coupling=1.0)
         ))
-        if art.summary.sync_tick is not None:
+        if art.summary["sync_tick"] is not None:
             synced += 1
     passed = synced <= 5
     report("06c conventional-l1-attacked-no-sync", passed, f"{100 - synced}/100 failed to sync")

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from oracles import run_file_texts
 from pcosync import cli
 from pcosync.cli import main, write_run_outputs
-from pcosync.scenario import parse_scenario, run_scenario
+from pcosync.scenario import parse_scenario, parse_sweep, run_scenario
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -61,6 +62,18 @@ def test_bad_json_exits_one(tmp_path, capsys):
     path.write_text("{nope")
     assert main(["validate", "--config", str(path)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}",  # not UTF-8
+    b"[" * 100_000 + b"]" * 100_000,  # nested too deeply for the parser
+], ids=["not-utf8", "nested-too-deeply"])
+def test_unparsable_config_gets_one_error_line(tmp_path, capsys, content):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    assert main(["validate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path} "), err
 
 
 def test_inconsistent_config_exits_one(tmp_path, capsys):
@@ -200,6 +213,29 @@ def test_run_files_are_dumps_of_the_derived_views(tmp_path, name, horizon):
                                                 want[first:first + 1])
 
 
+@pytest.mark.parametrize("name", [
+    "circle24_conventional_clean.json",  # no sync, no conditions
+    "circle24_quorum_n_attacked.json",
+])
+def test_run_summary_is_summary_json(tmp_path, capsys, name):
+    path = CONFIG_DIR / name
+    assert main(["run", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    summary = run_scenario(parse_scenario(json.loads(path.read_text()))).summary
+    assert summary == json.loads((tmp_path / "summary.json").read_text())
+
+
+def test_sweep_run_files_are_run_summaries(tmp_path, capsys):
+    data = {"base": small_scenario(), "runs": 3, "seed_base": 7, "write_run_summaries": True}
+    assert main(["sweep", "--config", write_config(tmp_path, data),
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    base = parse_sweep(data).base
+    for seed in (7, 8, 9):
+        on_disk = json.loads((tmp_path / "out" / f"run_{seed}.json").read_text())
+        assert on_disk == run_scenario(replace(base, seed=seed)).summary
+
+
 class WriteOnlyFile:
     """A file opened for writing that offers write and the context protocol, nothing else."""
 
@@ -285,6 +321,8 @@ BAD_TOPOLOGIES = {
     "circle-without-range": {"kind": "circle", "n": 8, "diameter": 40},
     "circle-n-string": {"kind": "circle", "n": "abc", "diameter": 40, "range": 39},
     "circle-n-fraction": {"kind": "circle", "n": 24.9, "diameter": 40, "range": 39},
+    "circle-diameter-overflows-float": {"kind": "circle", "n": 8, "diameter": 10**400,
+                                        "range": 39},
     "not-an-object": [],
 }
 
@@ -296,6 +334,8 @@ BAD_SCENARIOS = {
     "coupling-string": with_fields(small_scenario(),
                                    mechanism={"kind": "conventional", "coupling": "x"}),
     "radians-strings": with_fields(small_scenario(), initial_phases={"radians": ["a"] * 8}),
+    "coupling-overflows-float": with_fields(small_scenario(),
+                                            mechanism={"kind": "conventional", "coupling": 10**400}),
     "scripted-key": with_fields(small_scenario(),
                                 attackers={"ids": [1], "attack": {"kind": "scripted",
                                                                   "ticks": {"x": [5]}}}),

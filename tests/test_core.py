@@ -3,7 +3,7 @@ import math
 import pytest
 
 from oracles import floor_split_holds
-from pcosync.core import TWO_PI, TickClock
+from pcosync.core import TWO_PI, ConfigError, TickClock, read_number
 
 
 def test_floor_split_examples():
@@ -82,3 +82,10 @@ def test_ticks_to_seconds_matches_unit_speed():
     # phase advances one radian per second, so a full period is 2*pi seconds
     assert clock.ticks_to_seconds(clock.ticks_per_period) == pytest.approx(TWO_PI)
     assert clock.ticks_to_seconds(0) == 0.0
+
+
+def test_read_number_rejects_an_int_beyond_float_range():
+    # float(10**400) overflows; the reader reports it like any other non-finite number
+    with pytest.raises(ConfigError, match="must be a finite number"):
+        read_number(10**400, "mechanism.coupling")
+    assert read_number(10**300, "x") == 1e300

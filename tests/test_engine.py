@@ -1,5 +1,6 @@
 import json
 from collections import Counter, deque
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from pcosync.mechanisms import (
     jump_to,
     receive_count,
 )
-from pcosync.scenario import build_simulation, parse_scenario, with_seed
+from pcosync.scenario import build_simulation, parse_scenario
 from pcosync.topology import build_circle_deployment, from_adjacency
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -166,7 +167,7 @@ def flagship_result(seed=7):
 
 def shipped_sim(config_name, seed):
     config = parse_scenario(json.loads((CONFIG_DIR / config_name).read_text()))
-    return build_simulation(with_seed(config, seed))[0]
+    return build_simulation(replace(config, seed=seed))[0]
 
 
 def test_no_legitimate_fire_before_one_period():

@@ -254,8 +254,9 @@ def test_conditions_reject_bad_inputs():
     topo = build_circle_deployment(4, 40, 41)
     with pytest.raises(ValueError):
         check_sync_conditions(topo, "quorum_n", 4)  # m == n
+    assert check_sync_conditions(topo, "conventional", 0) is None  # no guarantee to check
     with pytest.raises(ValueError):
-        check_sync_conditions(topo, "conventional", 0)
+        check_sync_conditions(topo, "bogus", 0)
 
 
 def circle_networks(n):

@@ -102,10 +102,10 @@ def test_collective_period_exact_after_sync():
     art = reference_run()
     tick = detect_sync(art.result)
     fire_ticks = common_fire_ticks(art.result, tick)
-    gaps = art.summary.collective_periods
+    gaps = art.summary["collective_periods"]
     assert gaps == [b - a for a, b in zip(fire_ticks, fire_ticks[1:])]
     assert gaps and all(g == TPP for g in gaps)
-    assert art.summary.periods_exact is True
+    assert art.summary["periods_exact"] is True
 
 
 def test_conventional_never_reaches_exact_sync():
@@ -117,7 +117,7 @@ def test_conventional_never_reaches_exact_sync():
     })
     art = run_scenario(cfg)
     assert detect_sync(art.result) is None
-    assert art.summary.final_arc_rad > 0.0
+    assert art.summary["final_arc_rad"] > 0.0
 
 
 def test_single_oscillator_sync_convention():
@@ -144,7 +144,7 @@ def test_common_fire_ticks_without_sync():
 
 def test_summary_shape():
     art = reference_run()
-    data = art.summary.to_dict()
+    data = art.summary
     assert data["sync_tick"] == detect_sync(art.result)
     assert data["mechanism"] == "quorum_n"
     assert data["attacker_ids"] == [1, 8, 20]
