@@ -12,7 +12,6 @@ from .engine import (
     SimulationResult,
 )
 from .mechanisms import (
-    ConditionReport,
     apply_conventional_jump,
     build_mechanism,
     check_sync_conditions,

@@ -67,13 +67,12 @@ def cmd_validate(args) -> int:
     if report is None:
         print("no synchronization guarantee conditions apply to this mechanism")
         return EXIT_OK
-    print(f"N={report.n}  d={report.d}  attackers M={report.m}")
-    print(f"degree condition: d > {report.degree_bound}: {'pass' if report.degree_ok else 'FAIL'}")
-    print(
-        f"attacker bound: M <= {report.max_allowed_attackers}: "
-        f"{'pass' if report.attacker_bound_ok else 'FAIL'}"
-    )
-    if report.degree_ok and report.attacker_bound_ok:
+    print(f"N={report['n']}  d={report['d']}  attackers M={report['m']}")
+    print(f"degree condition: d > {report['degree_bound']}: "
+          f"{'pass' if report['degree_ok'] else 'FAIL'}")
+    print(f"attacker bound: M <= {report['max_allowed_attackers']}: "
+          f"{'pass' if report['attacker_bound_ok'] else 'FAIL'}")
+    if report["degree_ok"] and report["attacker_bound_ok"]:
         print("conditions met - synchronization guaranteed")
         return EXIT_OK
     print("theorem conditions not met - synchronization not guaranteed (running is still permitted)")

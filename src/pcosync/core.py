@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
+MAX_TICKS_PER_PERIOD = 2**53  # every tick of a period is exact as a float
 
 
 class ConfigError(ValueError):
@@ -25,9 +26,10 @@ class TickClock:
     """Tick/radian/second conversions for one oscillation period.
 
     ``ticks_per_period`` must be even so that the half-cycle reset target
-    (pi rad) is tick-exact. ``epsilon_ticks`` is the minimum separation a
-    channel allows between two consecutive pulses; it must be positive and
-    strictly below half a period for the pulse-train model to make sense.
+    (pi rad) is tick-exact, and at most ``MAX_TICKS_PER_PERIOD``.
+    ``epsilon_ticks`` is the minimum separation a channel allows between two
+    consecutive pulses; it must be positive and strictly below half a period
+    for the pulse-train model to make sense.
     """
 
     ticks_per_period: int = 1_000_000
@@ -35,8 +37,9 @@ class TickClock:
 
     def __post_init__(self) -> None:
         tpp = self.ticks_per_period
-        if not isinstance(tpp, int) or tpp <= 0 or tpp % 2 != 0:
-            raise ConfigError("clock.ticks_per_period must be a positive even integer")
+        if not isinstance(tpp, int) or not 0 < tpp <= MAX_TICKS_PER_PERIOD or tpp % 2 != 0:
+            raise ConfigError("clock.ticks_per_period must be a positive even integer, "
+                              "at most 2**53")
         eps = self.epsilon_ticks
         if not isinstance(eps, int) or eps <= 0 or eps >= tpp // 2:
             raise ConfigError("clock.epsilon_ticks must lie in (0, ticks_per_period/2)")

@@ -196,29 +196,13 @@ def build_mechanism(description: dict, clock: TickClock, own_degree: int):
                            response_quorum(n_known, own_degree), clock)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    """Outcome of the guarantee-condition check for one mechanism kind."""
-
-    mechanism: str
-    n: int
-    d: int
-    m: int
-    degree_bound: int  # the floor bound d is compared against
-    degree_ok: bool
-    attacker_bound_ok: bool
-    max_allowed_attackers: int
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))  # every field is a scalar, in the order above
-
-
-def check_sync_conditions(topology: Topology, mechanism: str, m: int) -> ConditionReport | None:
-    """Evaluate the degree and attacker-count bounds that guarantee synchronization.
+def check_sync_conditions(topology: Topology, mechanism: str, m: int) -> dict | None:
+    """The degree and attacker-count bounds that guarantee synchronization.
 
     The network degree d must exceed the kind's degree bound of N, and the
     attacker count m may be at most the response quorum at (N, d). m = 0
-    covers the attack-free guarantees. A kind without quorum rules, such as
+    covers the attack-free guarantees. The result is the ``conditions`` dict
+    of ``summary.json``, key for key. A kind without quorum rules, such as
     ``conventional``, has no guarantee: None. An unknown kind raises ``ValueError``.
     """
     if not 0 <= m < topology.n:
@@ -230,13 +214,6 @@ def check_sync_conditions(topology: Topology, mechanism: str, m: int) -> Conditi
     _, response_quorum, degree_bound = _QUORUM_RULES[mechanism]
     n, d = topology.n, topology.network_degree
     bound, max_allowed = degree_bound(n), response_quorum(n, d)
-    return ConditionReport(
-        mechanism=mechanism,
-        n=n,
-        d=d,
-        m=m,
-        degree_bound=bound,
-        degree_ok=d > bound,
-        attacker_bound_ok=m <= max_allowed,
-        max_allowed_attackers=max_allowed,
-    )
+    return {"mechanism": mechanism, "n": n, "d": d, "m": m, "degree_bound": bound,
+            "degree_ok": d > bound, "attacker_bound_ok": m <= max_allowed,
+            "max_allowed_attackers": max_allowed}

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from .core import TWO_PI, TickClock
 from .engine import FIRED, RESET_TO_ZERO, SimulationResult
-from .mechanisms import ConditionReport
 
 
 def containing_arc_ticks(phases, ticks_per_period: int) -> int:
@@ -101,16 +100,16 @@ def summarize_run(
     seed: int,
     config_digest: str,
     mechanism: str,
-    conditions: ConditionReport | None,
+    conditions: dict | None,
     schedules_jsonable: dict,
 ) -> dict:
     """The summary of one run: the mapping ``summary.json`` holds, key for key.
 
-    Floats are rounded to 9 significant digits and ``conditions`` is the
-    report's ``to_dict()`` or None. With two or more legitimate oscillators,
-    ``periods_exact`` is never false once ``sync_tick`` is set (see
-    :func:`detect_sync`), so it is no evidence beyond ``sync_tick``; the
-    acceptance tests' ``verify_run_artifacts`` is the independent check.
+    Floats are rounded to 9 significant digits; ``conditions`` is stored as
+    given. With two or more legitimate oscillators, ``periods_exact`` is
+    never false once ``sync_tick`` is set (see :func:`detect_sync`), so it is
+    no evidence beyond ``sync_tick``; the acceptance tests'
+    ``verify_run_artifacts`` is the independent check.
     """
     clock = result.clock
     tpp = clock.ticks_per_period
@@ -127,7 +126,7 @@ def summarize_run(
         "legitimate_ids": list(result.legit_ids),
         "attacker_ids": list(result.attacker_ids),
         "horizon_ticks": result.horizon,
-        "conditions": None if conditions is None else conditions.to_dict(),
+        "conditions": conditions,
         "sync_tick": sync_tick,
         "sync_seconds": None if sync_tick is None else _round9(clock.ticks_to_seconds(sync_tick)),
         "final_arc_rad": _round9(containing_arc(result.final_offsets, clock)),

@@ -23,6 +23,7 @@ from .metrics import summarize_run
 from .topology import Topology
 
 DEFAULT_HORIZON_PERIODS = 20
+MAX_HORIZON_PERIODS = 1000  # output grows with the horizon: ~57 MB for circle24 at the cap
 
 PHASE_SEED_SCOPE = "phases"
 
@@ -110,6 +111,9 @@ def parse_scenario(data: dict) -> ScenarioConfig:
     default_horizon = DEFAULT_HORIZON_PERIODS * clock.ticks_per_period
     horizon = read_int(data.get("horizon_ticks", default_horizon), "horizon_ticks")
     _require(horizon > 0, "horizon_ticks must be positive")
+    max_horizon = MAX_HORIZON_PERIODS * clock.ticks_per_period
+    _require(horizon <= max_horizon, f"horizon_ticks must be at most {MAX_HORIZON_PERIODS} "
+             f"periods ({max_horizon} ticks), not {horizon}")
     seed = read_int(data.get("seed", 0), "seed")
     _require(seed >= 0, "seed must be a nonnegative integer")
 
@@ -171,7 +175,7 @@ class RunArtifacts:
     summary: dict  # the mapping summary.json holds, rounded floats included (summarize_run)
 
 
-def conditions_for(config: ScenarioConfig) -> mechanisms.ConditionReport | None:
+def conditions_for(config: ScenarioConfig) -> dict | None:
     return mechanisms.check_sync_conditions(
         config.topology, config.mechanism_desc["kind"], len(config.attacker_ids))
 

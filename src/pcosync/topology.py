@@ -93,6 +93,9 @@ def build_circle_deployment(n: int, diameter: float, comm_range: float) -> Topol
     return from_adjacency(adjacency)
 
 
+# a dense circle's adjacency grows as n**2: ~40 MB to build at 1,024 nodes, ~180 MB at 2,048
+MAX_CIRCLE_NODES = 1024
+
 _TOPOLOGY_FIELDS = {"circle": ("n", "diameter", "range"), "explicit": ("adjacency",)}
 
 
@@ -117,6 +120,8 @@ def load_topology(description) -> tuple[Topology, dict]:
         topo = from_adjacency(description["adjacency"])
         return topo, {"kind": kind, "adjacency": [list(row) for row in topo.adjacency]}
     n = read_int(description["n"], "topology.n")
+    if n > MAX_CIRCLE_NODES:
+        raise ConfigError(f"topology.n must be at most {MAX_CIRCLE_NODES}, not {n}")
     diameter = read_number(description["diameter"], "topology.diameter")
     comm_range = read_number(description["range"], "topology.range")
     canonical = {"kind": kind, "n": n, "diameter": diameter, "range": comm_range}

@@ -7,7 +7,10 @@ import pytest
 from oracles import run_file_texts
 from pcosync import cli
 from pcosync.cli import main, write_run_outputs
-from pcosync.scenario import parse_scenario, parse_sweep, run_scenario
+from pcosync.core import MAX_TICKS_PER_PERIOD
+from pcosync.mechanisms import check_sync_conditions
+from pcosync.scenario import MAX_HORIZON_PERIODS, parse_scenario, parse_sweep, run_scenario
+from pcosync.topology import MAX_CIRCLE_NODES
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -55,6 +58,42 @@ def test_validate_attack_free_configs(capsys):
     for name in ("circle24_quorum_n_clean.json", "circle24_quorum_degree_clean.json"):
         assert main(["validate", "--config", str(CONFIG_DIR / name)]) == 0
     capsys.readouterr()
+
+
+def _validate_stdout(kind, m, degree_bound, max_allowed, attacker_check, verdict):
+    return (f"mechanism: {kind}\n"
+            f"N=24  d=20  attackers M={m}\n"
+            f"degree condition: d > {degree_bound}: pass\n"
+            f"attacker bound: M <= {max_allowed}: {attacker_check}\n"
+            f"{verdict}\n")
+
+
+MET = "conditions met - synchronization guaranteed"
+
+# the full stdout and exit code of `pcosync validate` on every shipped circle24 config
+VALIDATE_OUTPUTS = {
+    "circle24_conventional_clean.json": (
+        0, "mechanism: conventional\n"
+           "no synchronization guarantee conditions apply to this mechanism\n"),
+    "circle24_quorum_degree_attacked.json": (
+        0, _validate_stdout("quorum_degree", 2, 18, 2, "pass", MET)),
+    "circle24_quorum_degree_clean.json": (
+        0, _validate_stdout("quorum_degree", 0, 18, 2, "pass", MET)),
+    "circle24_quorum_degree_overbudget.json": (
+        2, _validate_stdout("quorum_degree", 3, 18, 2, "FAIL",
+                            "theorem conditions not met - synchronization not guaranteed"
+                            " (running is still permitted)")),
+    "circle24_quorum_n_attacked.json": (0, _validate_stdout("quorum_n", 3, 16, 3, "pass", MET)),
+    "circle24_quorum_n_clean.json": (0, _validate_stdout("quorum_n", 0, 16, 3, "pass", MET)),
+}
+
+
+def test_validate_outputs_are_pinned(capsys):
+    assert sorted(p.name for p in CONFIG_DIR.glob("circle24_*.json")) == sorted(VALIDATE_OUTPUTS)
+    for name, (code, out) in VALIDATE_OUTPUTS.items():
+        assert main(["validate", "--config", str(CONFIG_DIR / name)]) == code, name
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (out, ""), name
 
 
 def test_bad_json_exits_one(tmp_path, capsys):
@@ -225,6 +264,21 @@ def test_run_summary_is_summary_json(tmp_path, capsys, name):
     assert summary == json.loads((tmp_path / "summary.json").read_text())
 
 
+@pytest.mark.parametrize("name,guaranteed", [
+    ("circle24_conventional_clean.json", False),  # no guarantee: None
+    ("circle24_quorum_n_attacked.json", True),
+])
+def test_run_conditions_are_check_sync_conditions(name, guaranteed):
+    config = parse_scenario(json.loads((CONFIG_DIR / name).read_text()))
+    conditions = run_scenario(config).summary["conditions"]
+    assert conditions == check_sync_conditions(config.topology, config.mechanism_desc["kind"],
+                                               len(config.attacker_ids))
+    assert (conditions is not None) == guaranteed
+    if guaranteed:
+        assert list(conditions) == ["mechanism", "n", "d", "m", "degree_bound", "degree_ok",
+                                    "attacker_bound_ok", "max_allowed_attackers"]
+
+
 def test_sweep_run_files_are_run_summaries(tmp_path, capsys):
     data = {"base": small_scenario(), "runs": 3, "seed_base": 7, "write_run_summaries": True}
     assert main(["sweep", "--config", write_config(tmp_path, data),
@@ -323,6 +377,9 @@ BAD_TOPOLOGIES = {
     "circle-n-fraction": {"kind": "circle", "n": 24.9, "diameter": 40, "range": 39},
     "circle-diameter-overflows-float": {"kind": "circle", "n": 8, "diameter": 10**400,
                                         "range": 39},
+    "circle-n-over-cap": {"kind": "circle", "n": MAX_CIRCLE_NODES + 1, "diameter": 40,
+                          "range": 1},
+    "circle-n-overflows-float": {"kind": "circle", "n": 10**400, "diameter": 40, "range": 39},
     "not-an-object": [],
 }
 
@@ -358,6 +415,14 @@ BAD_SCENARIOS = {
                                                 horizon_ticks=100_000),
     "n-known-not-topology-n": with_fields(shipped_config(),
                                           mechanism={"kind": "quorum_n", "n_known": 100}),
+    # cap + 1 is odd, so the next even value is the one only the cap rejects
+    "ticks-per-period-over-cap": with_fields(shipped_config(), clock={
+        "ticks_per_period": MAX_TICKS_PER_PERIOD + 2, "epsilon_ticks": 10_000}),
+    "ticks-per-period-overflows-float": with_fields(shipped_config(), clock={
+        "ticks_per_period": 10**400, "epsilon_ticks": 10_000}),
+    "horizon-over-cap": with_fields(shipped_config(),
+                                    horizon_ticks=MAX_HORIZON_PERIODS * 1_000_000 + 1),
+    "horizon-overflows-float": with_fields(shipped_config(), horizon_ticks=10**400),
     **{f"topology-{name}": with_fields(small_scenario(), topology=topo)
        for name, topo in BAD_TOPOLOGIES.items()},
 }
@@ -372,6 +437,28 @@ def test_malformed_config_gets_one_error_line(tmp_path, capsys, command, data):
     err = capsys.readouterr().err.splitlines()
     assert code == 1
     assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+def sparse_circle_at_cap():
+    data = shipped_config()
+    del data["attackers"]  # its attacker ids are checked against n only
+    data["topology"] = {"kind": "circle", "n": MAX_CIRCLE_NODES, "diameter": 40, "range": 1}
+    data["mechanism"] = {"kind": "quorum_n", "n_known": MAX_CIRCLE_NODES}
+    return data
+
+
+@pytest.mark.parametrize("data,code,line", [
+    (with_fields(shipped_config(), clock={"ticks_per_period": MAX_TICKS_PER_PERIOD,
+                                          "epsilon_ticks": 10_000}), 0, "N=24  d=20"),
+    (sparse_circle_at_cap(), 2, f"N={MAX_CIRCLE_NODES}  d=16  attackers M=0"),
+    (with_fields(shipped_config(), horizon_ticks=MAX_HORIZON_PERIODS * 1_000_000), 0,
+     "N=24  d=20"),
+], ids=["ticks-per-period-at-cap", "circle-n-at-cap", "horizon-at-cap"])
+def test_validate_accepts_each_cap(tmp_path, capsys, data, code, line):
+    # validate builds the run but does not start the engine
+    assert main(["validate", "--config", write_config(tmp_path, data)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == "" and line in captured.out
 
 
 def test_single_pulse_scripted_train_is_legal(tmp_path, capsys):

@@ -230,24 +230,24 @@ def test_raising_response_quorum_only_removes_shifts():
 def test_conditions_quorum_n():
     topo = build_circle_deployment(24, 40, 39)
     rep = check_sync_conditions(topo, "quorum_n", 3)
-    assert rep.degree_ok  # 20 > 16
-    assert rep.degree_bound == 16
-    assert rep.attacker_bound_ok
-    assert rep.max_allowed_attackers == 3
+    assert rep["degree_ok"]  # 20 > 16
+    assert rep["degree_bound"] == 16
+    assert rep["attacker_bound_ok"]
+    assert rep["max_allowed_attackers"] == 3
     # one above the bound fails, the bound itself passes
-    assert not check_sync_conditions(topo, "quorum_n", 4).attacker_bound_ok
-    assert check_sync_conditions(topo, "quorum_n", 3).attacker_bound_ok
+    assert not check_sync_conditions(topo, "quorum_n", 4)["attacker_bound_ok"]
+    assert check_sync_conditions(topo, "quorum_n", 3)["attacker_bound_ok"]
 
 
 def test_conditions_quorum_degree():
     topo = build_circle_deployment(24, 40, 39)
     rep = check_sync_conditions(topo, "quorum_degree", 3)
-    assert rep.degree_ok  # 20 > 18
-    assert rep.degree_bound == 18
-    assert not rep.attacker_bound_ok  # max allowed is floor(20/6)-1 = 2
-    assert rep.max_allowed_attackers == 2
+    assert rep["degree_ok"]  # 20 > 18
+    assert rep["degree_bound"] == 18
+    assert not rep["attacker_bound_ok"]  # max allowed is floor(20/6)-1 = 2
+    assert rep["max_allowed_attackers"] == 2
     rep0 = check_sync_conditions(topo, "quorum_degree", 0)
-    assert rep0.degree_ok and rep0.attacker_bound_ok
+    assert rep0["degree_ok"] and rep0["attacker_bound_ok"]
 
 
 def test_conditions_reject_bad_inputs():
@@ -281,9 +281,10 @@ def test_quorum_formulas_match_the_paper_away_from_n24():
             for kind, (bound, max_allowed) in expected.items():
                 for m in range(n):
                     rep = check_sync_conditions(topo, kind, m)
-                    assert (rep.degree_bound, rep.max_allowed_attackers) == (bound, max_allowed)
-                    assert rep.degree_ok == (d > bound)
-                    assert rep.attacker_bound_ok == (m <= max_allowed)
+                    assert rep["degree_bound"] == bound
+                    assert rep["max_allowed_attackers"] == max_allowed
+                    assert rep["degree_ok"] == (d > bound)
+                    assert rep["attacker_bound_ok"] == (m <= max_allowed)
     for n_known in range(1, 41):
         for degree in range(41):
             mech = build_mechanism({"kind": KIND_QUORUM_N, "n_known": n_known}, CLOCK, degree)
