@@ -105,19 +105,36 @@ def _event_lines(result):
 
 
 def _phase_lines(result):
-    """phases.csv, one chunk per row; each distinct phase of a row is formatted once."""
+    """phases.csv, one chunk per row.
+
+    A row's tail (the arc and every phase) depends only on the offsets
+    relative to the first oscillator's, ``rel``, and on the first phase,
+    ``offsets[0] + t``: the arc is rotation invariant. So each tail is built
+    once per first phase, and the built tails are dropped when ``rel``
+    changes. Once the run synchronizes, ``rel`` is all zeros for good and
+    the cadence rows repeat every period, so each of their tails is built
+    once per run.
+    """
     tpp = result.clock.ticks_per_period
     scale = TWO_PI / tpp
     header = ["tick", "seconds", "arc_rad"] + [f"phase_rad_{i}" for i in result.legit_ids]
     yield ",".join(header) + "\n"
-    last = None
+    last = rel = None
     for t, offsets in result.rows():
-        if offsets is not last:  # the arc and the distinct offsets change only at instants
-            last, arc = offsets, _fmt9(containing_arc_ticks(offsets, tpp) * scale)
-            distinct = tuple(set(offsets))
-            slots = [distinct.index(o) for o in offsets]
-        cells = [f"{(o + t) * scale:.9g}" for o in distinct]
-        yield f"{t},{t * scale:.9g},{arc},{','.join([cells[s] for s in slots])}\n"
+        if offsets is not last:  # rel and the first offset change only at instants
+            last, first = offsets, offsets[0]
+            new_rel = tuple([o - first for o in offsets])
+            if new_rel != rel:
+                rel, tails = new_rel, {}
+                arc = _fmt9(containing_arc_ticks(rel, tpp) * scale)
+                distinct = tuple(set(rel))
+                slots = [distinct.index(r) for r in rel]
+        phase = first + t
+        tail = tails.get(phase)
+        if tail is None:  # r + phase is o + t: each cell is printed from a phase in ticks
+            cells = [f"{(r + phase) * scale:.9g}" for r in distinct]
+            tail = tails[phase] = f"{arc},{','.join([cells[s] for s in slots])}\n"
+        yield f"{t},{t * scale:.9g},{tail}"
 
 
 def write_run_outputs(artifacts, out_dir: Path) -> None:

@@ -1,13 +1,15 @@
 import json
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from oracles import run_file_texts
 from pcosync import cli
 from pcosync.cli import main, write_run_outputs
-from pcosync.core import MAX_TICKS_PER_PERIOD
+from pcosync.core import MAX_TICKS_PER_PERIOD, TickClock
+from pcosync.engine import FIRED, Instant, SimulationResult
 from pcosync.mechanisms import check_sync_conditions
 from pcosync.scenario import MAX_HORIZON_PERIODS, parse_scenario, parse_sweep, run_scenario
 from pcosync.topology import MAX_CIRCLE_NODES
@@ -231,25 +233,70 @@ def test_unusable_out_dir_gets_one_error_line(tmp_path, capsys, command, out):
     assert len(err) == 1 and err[0].startswith(f"error: cannot write {tmp_path / out}: "), err
 
 
-@pytest.mark.parametrize("name,horizon", [
-    ("circle24_conventional_clean.json", None),  # rows hold several distinct phases
-    ("circle24_quorum_n_attacked.json", None),
-    ("circle24_quorum_n_attacked.json", 12_345_678),  # off the 1/100-period cadence
-])
-def test_run_files_are_dumps_of_the_derived_views(tmp_path, name, horizon):
-    data = json.loads((CONFIG_DIR / name).read_text())
-    if horizon is not None:
-        data["horizon_ticks"] = horizon
-    artifacts = run_scenario(parse_scenario(data))
-    write_run_outputs(artifacts, tmp_path)
+def assert_run_files_are_dumps(artifacts, out_dir):
+    write_run_outputs(artifacts, out_dir)
     for f, text in run_file_texts(artifacts.result).items():
-        got = (tmp_path / f).read_text(encoding="utf-8").splitlines(keepends=True)
+        got = (out_dir / f).read_text(encoding="utf-8").splitlines(keepends=True)
         want = text.splitlines(keepends=True)
         # the first differing line, not a diff of megabytes
         first = next((k for k, (g, w) in enumerate(zip(got, want)) if g != w),
                      min(len(got), len(want)))
         assert first == len(got) == len(want), (f, first, got[first:first + 1],
                                                 want[first:first + 1])
+
+
+@pytest.mark.parametrize("name,horizon", [
+    ("circle24_conventional_clean.json", None),  # rows hold several distinct phases
+    ("circle24_quorum_n_attacked.json", None),
+    ("circle24_quorum_n_attacked.json", 12_345_678),  # off the 1/100-period cadence
+    ("circle24_quorum_n_clean.json", None),  # synchronizes without an attack
+    ("circle24_quorum_degree_overbudget.json", None),  # more attackers than the bound allows
+])
+def test_run_files_are_dumps_of_the_derived_views(tmp_path, name, horizon):
+    data = json.loads((CONFIG_DIR / name).read_text())
+    if horizon is not None:
+        data["horizon_ticks"] = horizon
+    assert_run_files_are_dumps(run_scenario(parse_scenario(data)), tmp_path)
+
+
+def hand_built_run(initial, instants, horizon):
+    """A completed run of ``len(initial)`` legitimate oscillators on a complete graph.
+
+    ``instants`` holds (tick, offsets after it); each fires oscillator 0.
+    At 1,000 ticks per period a cadence row falls every 10 ticks.
+    """
+    n = len(initial)
+    result = SimulationResult(
+        clock=TickClock(1_000, 10), legit_ids=tuple(range(n)), attacker_ids=(),
+        adjacency=tuple(tuple(j for j in range(n) if j != i) for i in range(n)),
+        horizon=horizon, initial_offsets=initial, final_offsets=instants[-1][1],
+        instants=[Instant(t, offsets, ((FIRED, 0),)) for t, offsets in instants])
+    return SimpleNamespace(result=result, summary={})
+
+
+# Tails are built once per first phase `offsets[0] + t` and dropped when the offsets
+# relative to the first one change; each case writes a row that a stale tail would spoil.
+HAND_BUILT_RUNS = {
+    # rows 20 and 30 both have first phase 120, under different relative offsets
+    "relative-offsets-change-at-one-first-phase": hand_built_run(
+        (100, 300, 400), [(25, (90, 600, 700))], 60),
+    # relative offsets A, B, then A again, where row 50 has row 20's first phase
+    "relative-offsets-a-b-a": hand_built_run(
+        (100, 300, 400), [(25, (90, 600, 700)), (45, (70, 270, 370))], 80),
+    # a joint jump and a joint fire keep the relative offsets (all zero) but move the
+    # first phase off the tick's place in the period: row 1000 is not row 0's phase
+    "joint-jump-keeps-relative-offsets": hand_built_run(
+        (0, 0), [(300, (200, 200)), (800, (-800, -800)), (1800, (-1800, -1800))], 2_500),
+    "single-oscillator": hand_built_run(
+        (300,), [(700, (-700,)), (1300, (-800,)), (1800, (-1800,))], 2_500),
+    "horizon-off-the-cadence": hand_built_run(
+        (100, 300, 400), [(25, (90, 600, 700)), (400, (-400, -400, -400))], 1_234),
+}
+
+
+@pytest.mark.parametrize("case", HAND_BUILT_RUNS)
+def test_hand_built_run_files_are_dumps_of_the_derived_views(tmp_path, case):
+    assert_run_files_are_dumps(HAND_BUILT_RUNS[case], tmp_path)
 
 
 @pytest.mark.parametrize("name", [
