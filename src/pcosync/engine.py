@@ -30,7 +30,10 @@ pruned to the trailing half period, with the pulse being handled as its
 newest entry: every earlier entry arrived before that pulse. A mechanism
 reads its phase as ``state.offset + now``. Every pulse to a legitimate
 oscillator is queued and added to its receive log when delivered; an
-oscillator parked at the top ignores pulses but still counts them.
+oscillator parked at the top ignores pulses but still counts them. Once
+every legitimate oscillator is parked, as in each instant of a synchronized
+network, no decision can run and no new sender can appear, so the pulses
+still queued are only logged.
 
 ``Simulation`` is the one check of an attack schedule: the channel lets an
 attacker pulse at int ticks from 0 on, each more than ``epsilon_ticks``
@@ -44,7 +47,8 @@ sum(outdegree) <= n(n-1) deliveries.
 from __future__ import annotations
 
 import heapq
-from collections import deque, namedtuple
+from bisect import bisect_left
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .core import ConfigError, TickClock
@@ -90,14 +94,15 @@ class OscillatorState:
 
     ``offset`` is the phase in ticks minus the current tick: the phase at
     tick ``now`` is ``offset + now``, and only a pulse or a reset changes
-    the offset. ``receive_log`` holds the non-decreasing ticks of received
-    pulses, pruned to the trailing half period (the widest counting window
-    any rule uses); the scalar ``last_reset_to_zero_tick`` survives pruning
+    the offset. ``receive_log`` is a list of the non-decreasing ticks of
+    received pulses, one entry per pulse, pruned to the trailing half period
+    (the widest counting window any rule uses) by one slice delete up to a
+    bisected index; the scalar ``last_reset_to_zero_tick`` survives pruning
     because one rule looks a full period back.
     """
 
     offset: int
-    receive_log: deque = field(default_factory=deque)
+    receive_log: list = field(default_factory=list)
     last_fire_tick: int | None = None
     last_reset_to_zero_tick: int | None = None
 
@@ -289,17 +294,20 @@ class Simulation:
 
         # 2) deliver queued pulses in emission order; every pulse is logged, and
         # an oscillator parked at the top only counts it. Shifts park and may
-        # fire, and a list iterator also visits what they queue during the loop
+        # fire, and a list iterator also visits what they queue during the loop.
+        # Once every oscillator is parked no pulse can be handled or sent: the
+        # loop stops (or never starts) and the same iterator logs the rest
         half = tpp // 2
         cutoff = t - half
-        for r in pending:
+        left = iter(pending)
+        for r in left if len(at_top) < len(states) else ():
             st = states[r]
             log = st.receive_log
             log.append(t)
             if r in at_top:
                 continue
-            while log[0] < cutoff:
-                log.popleft()
+            if log[0] < cutoff:
+                del log[:bisect_left(log, cutoff)]
             action = mechanisms[r].on_pulse(st, t)
             kind = action.kind
             if kind == "ignore":
@@ -321,15 +329,18 @@ class Simulation:
                 raise EngineError(f"mechanism returned unknown pulse action {kind!r}")
             if park(r):
                 pending.extend(targets[r])
+            if len(at_top) == len(states):
+                break
+        for r in left:
+            states[r].receive_log.append(t)
 
         # 3) instant settled: oscillators parked at the top pick their reset;
         # logs that took pulses this instant are pruned to the trailing half period
         for i in sorted(at_top):
             st = states[i]
             log = st.receive_log
-            if log and log[-1] == t:
-                while log[0] < cutoff:
-                    log.popleft()
+            if log and log[-1] == t and log[0] < cutoff:
+                del log[:bisect_left(log, cutoff)]
             if mechanisms[i].on_reach_top(st, t) == "zero":
                 st.offset = -t
                 st.last_reset_to_zero_tick = t

@@ -24,6 +24,7 @@ node's own degree, ``check_sync_conditions`` at the network degree.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .core import ConfigError, TickClock, read_int, read_number
@@ -55,13 +56,9 @@ def jump_to(phase_ticks: int) -> PulseAction:
 
 
 def receive_count(state: OscillatorState, after: int) -> int:
-    """Received pulses logged at ticks strictly after ``after``."""
-    n = 0
-    for t in reversed(state.receive_log):  # newest first; ticks never decrease
-        if t <= after:
-            break
-        n += 1
-    return n
+    """Received pulses logged at ticks strictly after ``after``, by bisecting the sorted log."""
+    log = state.receive_log
+    return len(log) - bisect_right(log, after)
 
 
 def apply_conventional_jump(phase: int, coupling: float, ticks_per_period: int) -> int:

@@ -1,6 +1,8 @@
 import json
+import random
 from collections import Counter, deque
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from pcosync.engine import (
     Simulation,
 )
 from pcosync.mechanisms import (
+    IGNORE,
     KIND_QUORUM_N,
     build_mechanism,
     jump_to,
@@ -65,12 +68,14 @@ def records_of(result, kind, node=None):
 # -- receive_count -------------------------------------------------------------
 
 
-def test_receive_count_windows():
-    state = OscillatorState(offset=0, receive_log=deque([100, 100, 150]))
+@pytest.mark.parametrize("container", [list, deque])
+def test_receive_count_windows(container):
+    state = OscillatorState(offset=0, receive_log=container([100, 100, 150]))
     assert receive_count(state, 90) == 3
     assert receive_count(state, 100) == 1  # open left endpoint drops tick 100
     assert receive_count(state, 150) == 0
-    assert receive_count(OscillatorState(offset=0), 0) == 0
+    assert receive_count(state, 99) == 3
+    assert receive_count(OscillatorState(offset=0, receive_log=container()), 0) == 0
 
 
 # -- small hand-traced scenarios ----------------------------------------------
@@ -154,7 +159,6 @@ def flagship_sim(seed=7):
         8: tuple(range(EPS + 1, 3 * TPP, 4 * EPS)),
         20: tuple(range(2 * EPS + 1, 3 * TPP, 5 * EPS)),
     }
-    import random
     rng = random.Random(seed)
     phases = {i: rng.randrange(TPP + 1) for i in range(24) if i not in (1, 8, 20)}
     return quorum_n_sim(topo, phases, horizon=4 * TPP,
@@ -263,24 +267,125 @@ class ContractCheckingMechanism:
         return self.inner.on_pulse(state, now)
 
 
-@pytest.mark.parametrize("config_name", [
-    "circle24_quorum_n_attacked.json",
-    "circle24_quorum_degree_attacked.json",
-    "circle24_conventional_clean.json",
-])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_receive_log_holds_the_trailing_half_period_of_deliveries(config_name, seed):
-    sim = shipped_sim(config_name, seed)
+def run_checking_the_contract(sim):
+    """Runs sim with every mechanism wrapped in a ContractCheckingMechanism and
+    checks the final receive logs; returns the result, the on_pulse ticks and
+    the on_reach_top records."""
     half = sim.clock.ticks_per_period // 2
     calls, tops = [], []
     sim.mechanisms = {i: ContractCheckingMechanism(m, i, half, calls, tops)
                       for i, m in sim.mechanisms.items()}
     result = assert_receive_logs_hold_trailing_half_period(sim)
-    assert calls
     # the reset decision counts every pulse of its instant, those that reached
     # the oscillator after it was parked at the top included
     received = Counter((r.node, r.tick) for r in records_of(result, RECEIVED))
-    assert tops and all(count == received[node, now] for node, now, count in tops)
+    assert all(count == received[node, now] for node, now, count in tops)
+    return result, calls, tops
+
+
+def ring60_sim(seed):
+    # denser than the shipped d = 20 configs: a ring lattice with N = 60 and
+    # d = 50, and the quorum_n attacker bound M = 50 - 40 - 1 = 9 on scripted trains
+    topo = build_circle_deployment(60, 40.0, 38.9)
+    assert topo.network_degree == 50
+    attackers = tuple(range(0, 60, 7))
+    schedules = {a: tuple(range(k * 1111, 2 * TPP, 3 * EPS + 7 * k))
+                 for k, a in enumerate(attackers)}
+    rng = random.Random(seed)
+    phases = {i: rng.randrange(TPP + 1) for i in range(60) if i not in attackers}
+    return quorum_n_sim(topo, phases, horizon=4 * TPP, attacker_ids=attackers,
+                        schedules=schedules)
+
+
+RECEIVE_LOG_RUNS = {
+    f"{seed}-{name}": partial(shipped_sim, name, seed)
+    for seed in (0, 1, 2)
+    for name in ("circle24_quorum_n_attacked.json", "circle24_quorum_degree_attacked.json",
+                 "circle24_conventional_clean.json")
+}
+RECEIVE_LOG_RUNS["0-ring60_quorum_n_attacked"] = partial(ring60_sim, 0)
+
+
+@pytest.mark.parametrize("make_sim", list(RECEIVE_LOG_RUNS.values()), ids=list(RECEIVE_LOG_RUNS))
+def test_receive_log_holds_the_trailing_half_period_of_deliveries(make_sim):
+    _, calls, tops = run_checking_the_contract(make_sim())
+    assert calls and tops
+
+
+# -- the delivery loop once every oscillator is parked --------------------------
+# K4: oscillators 0-2 start at phase 0 and reach the top together at TPP
+
+
+K4 = from_adjacency([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+
+
+def test_last_oscillator_parks_partway_through_the_deliveries():
+    # 3 wraps to pi at TPP - 100, so at TPP it is in the upper half and the
+    # pulse of 0 shifts it (quorum 0). It fires and is the last to park, with
+    # six pulses of 1 and 2 still queued (two of them to 3) and its own three
+    sim = quorum_n_sim(K4, {0: 0, 1: 0, 2: 0, 3: 100}, horizon=TPP)
+    result, calls, tops = run_checking_the_contract(sim)
+    assert calls == [TPP]  # only 3 handles a pulse
+    assert [r.node for r in records_of(result, SHIFTED_TO_2PI)] == [3]
+    assert sorted(r.node for r in records_of(result, FIRED)) == [0, 1, 2, 3]
+    assert sorted((node, now, count) for node, now, count in tops if now == TPP) == [
+        (i, TPP, 3) for i in range(4)]
+
+
+def test_attacker_pulse_on_an_instant_with_every_oscillator_parked():
+    # the attacker 3 pulses at TPP, the tick 0-2 reach the top: its pulses are
+    # queued first and delivered after every oscillator is parked
+    sim = quorum_n_sim(K4, {0: 0, 1: 0, 2: 0}, horizon=TPP, attacker_ids=(3,),
+                       schedules={3: (TPP,)})
+    result, calls, tops = run_checking_the_contract(sim)
+    assert calls == []
+    assert sorted(tops) == [(i, TPP, 3) for i in range(3)]
+
+
+def test_deliveries_with_no_oscillator_parked():
+    # every pulse reaches 0 and 1 in the lower half of the cycle: all are ignored
+    topo = from_adjacency([[1, 2], [0, 2], [0, 1]])
+    ticks = tuple(range(0, HALF, 3 * EPS))
+    sim = quorum_n_sim(topo, {0: 0, 1: 0}, horizon=HALF - 1, attacker_ids=(2,),
+                       schedules={2: ticks})
+    result, calls, tops = run_checking_the_contract(sim)
+    assert calls == sorted(2 * ticks) and tops == []
+    assert [r.kind for r in result.records] == [FIRED, RECEIVED, RECEIVED] * len(ticks)
+
+
+class LogSnapshotMechanism:
+    """Ignores every pulse, fires at every top-reach and resets to pi; records
+    (decision, now, receive log) at every on_pulse and on_reach_top call."""
+
+    def __init__(self):
+        self.seen = []
+
+    def fires(self, state, now):
+        return True
+
+    def on_reach_top(self, state, now):
+        self.seen.append(("on_reach_top", now, list(state.receive_log)))
+        return "pi"
+
+    def on_pulse(self, state, now):
+        self.seen.append(("on_pulse", now, list(state.receive_log)))
+        return IGNORE
+
+
+@pytest.mark.parametrize("site", ["on_pulse", "on_reach_top"])
+def test_prune_keeps_the_pulse_exactly_half_a_period_back(site):
+    # at t the log holds pulses at t - half - 1, which the prune drops, and at
+    # t - half, which it keeps: pruned before on_pulse, or after the instant
+    # settles when the oscillator reaches the top at t
+    s = 1000
+    t = s + 1 + HALF
+    topo = from_adjacency([[1, 2], [0], [0]])
+    mech = LogSnapshotMechanism()
+    phase = 0 if site == "on_pulse" else TPP - t
+    sim = Simulation(CLOCK, topo, {0: mech}, {0: phase}, horizon=t,
+                     attacker_ids=(1, 2), schedules={1: (s, t), 2: (s + 1,)})
+    assert_receive_logs_hold_trailing_half_period(sim)
+    assert mech.seen[-1] == (site, t, [s + 1, t])
 
 
 def test_receive_log_kept_while_parked_without_pulses():
@@ -333,7 +438,6 @@ def test_event_log_reconstructs_every_snapshot():
     # under the quorum rules the only phase discontinuities are the logged
     # shift and reset records, so replaying the log must reproduce the
     # phase trace exactly
-    import random
     result = flagship_result()
     rng = random.Random(7)
     phases0 = {i: rng.randrange(TPP + 1) for i in range(24) if i not in (1, 8, 20)}
