@@ -30,6 +30,8 @@ _ATTACK_FIELDS = {
 
 SEED_SCOPE = "attack"
 _MAX_RESAMPLES_PER_TICK = 1000
+# generate draws and sorts the whole budget: ~2 s at the cap on a sparse horizon (README)
+MAX_TOTAL_PULSES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -81,9 +83,8 @@ def read_attack(section, attacker_ids: tuple[int, ...]) -> dict:
             if not isinstance(value, str):
                 raise ConfigError(f"attackers.attack.seed_scope must be a string, not {value!r}")
         elif f in section:
-            value = read_int(section[f], f"attackers.attack.{f}")
-            if value < 0:
-                raise ConfigError(f"attackers.attack.{f} must be at least 0, not {value}")
+            value = read_int(section[f], f"attackers.attack.{f}", least=0,
+                             most=MAX_TOTAL_PULSES if f == "total_pulses" else None)
         else:
             raise ConfigError(f"{kind} attack needs {f}")
         description[f] = value

@@ -60,12 +60,16 @@ class TickClock:
         return ticks / self.ticks_per_period * TWO_PI
 
 
-def read_int(value, field: str) -> int:
-    """A config integer. An integral JSON float such as 1e6 counts; a bool or a string does not."""
+def read_int(value, field: str, least: int | None = None, most: int | None = None) -> int:
+    """A config integer in [least, most]; an integral float such as 1e6 counts, a bool does not."""
     if isinstance(value, float) and value.is_integer():
-        return int(value)
+        value = int(value)
     if type(value) is not int:
         raise ConfigError(f"{field} must be an integer, not {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{field} must be at least {least}, not {value}")
+    if most is not None and value > most:
+        raise ConfigError(f"{field} must be at most {most}, not {value}")
     return value
 
 

@@ -238,7 +238,6 @@ class Simulation:
         self._legit_states = [states[i] for i in self.legit_ids]
         self._queue = queue
         self._log = []
-        self._offsets = initial
 
         horizon = self.horizon
         while queue and queue[0][0] <= horizon:
@@ -251,7 +250,7 @@ class Simulation:
             adjacency=self.topology.adjacency,
             horizon=horizon,
             initial_offsets=initial,
-            final_offsets=self._offsets,
+            final_offsets=self._log[-1].offsets if self._log else initial,
             instants=self._log,
         )
 
@@ -268,33 +267,32 @@ class Simulation:
         at_top: set[int] = set()
         events: list = []
 
-        def park(i: int) -> bool:
-            """Put oscillator i at the cycle top; True if it fires."""
+        def park(i: int) -> None:
+            """Put oscillator i at the cycle top; if it fires, queue its pulses."""
             st = states[i]
             st.offset = tpp - t
             at_top.add(i)
             if mechanisms[i].fires(st, t):
                 events.append((FIRED, i))
                 st.last_fire_tick = t
-                return True
-            return False
+                pending.extend(targets[i])
 
         # 1) pop everything scheduled at t (attacker pulses first, then wraps);
-        # a sender queues its pulses at once, as no delivery is processed
-        # before step 2. A wrap is current when its node is at the top now; a
-        # superseded one may share the tick of the current one, so a node
-        # already parked is skipped
+        # a sender queues its pulses at once (park does it for a fire), as no
+        # delivery is processed before step 2. A wrap is current when its node
+        # is at the top now; a superseded one may share the tick of the current
+        # one, so a node already parked is skipped
         while queue and queue[0][0] == t:
             _, prio, node = heapq.heappop(queue)
             if prio == _PRIO_ATTACK:
                 events.append((FIRED, node))
                 pending.extend(targets[node])
-            elif states[node].offset + t == tpp and node not in at_top and park(node):
-                pending.extend(targets[node])
+            elif states[node].offset + t == tpp and node not in at_top:
+                park(node)
 
         # 2) deliver queued pulses in emission order; every pulse is logged, and
-        # an oscillator parked at the top only counts it. Shifts park and may
-        # fire, and a list iterator also visits what they queue during the loop.
+        # an oscillator parked at the top only counts it. Shifts park, a fire
+        # queues its pulses inside park, and a list iterator also visits them.
         # Once every oscillator is parked no pulse can be handled or sent: the
         # loop stops (or never starts) and the same iterator logs the rest
         half = tpp // 2
@@ -327,8 +325,7 @@ class Simulation:
                     continue
             else:
                 raise EngineError(f"mechanism returned unknown pulse action {kind!r}")
-            if park(r):
-                pending.extend(targets[r])
+            park(r)
             if len(at_top) == len(states):
                 break
         for r in left:
@@ -350,8 +347,4 @@ class Simulation:
                 events.append((RESET_TO_PI, i))
             heapq.heappush(queue, (tpp - st.offset, _PRIO_WRAP, i))
 
-        offsets = tuple([st.offset for st in self._legit_states])
-        if offsets == self._offsets:
-            offsets = self._offsets  # nothing moved: share the tuple
-        self._offsets = offsets
-        self._log.append(Instant(t, offsets, events))
+        self._log.append(Instant(t, tuple([st.offset for st in self._legit_states]), events))

@@ -109,13 +109,9 @@ def parse_scenario(data: dict) -> ScenarioConfig:
         phases_desc = {"radians": radians}
 
     default_horizon = DEFAULT_HORIZON_PERIODS * clock.ticks_per_period
-    horizon = read_int(data.get("horizon_ticks", default_horizon), "horizon_ticks")
-    _require(horizon > 0, "horizon_ticks must be positive")
-    max_horizon = MAX_HORIZON_PERIODS * clock.ticks_per_period
-    _require(horizon <= max_horizon, f"horizon_ticks must be at most {MAX_HORIZON_PERIODS} "
-             f"periods ({max_horizon} ticks), not {horizon}")
-    seed = read_int(data.get("seed", 0), "seed")
-    _require(seed >= 0, "seed must be a nonnegative integer")
+    horizon = read_int(data.get("horizon_ticks", default_horizon), "horizon_ticks",
+                       least=1, most=MAX_HORIZON_PERIODS * clock.ticks_per_period)
+    seed = read_int(data.get("seed", 0), "seed", least=0)
 
     return ScenarioConfig(
         clock=clock,
@@ -240,12 +236,9 @@ def parse_sweep(data: dict) -> SweepConfig:
     _require(not unknown, f"unknown sweep fields: {sorted(unknown)}")
     _require("base" in data, "sweep config needs a 'base' scenario")
     base = parse_scenario(data["base"])
-    runs = read_int(data.get("runs", 1), "runs")
-    _require(runs >= 1, "sweep needs runs >= 1")
-    seed_base = read_int(data.get("seed_base", base.seed), "seed_base")
-    _require(seed_base >= 0, "seed_base must be a nonnegative integer")
-    workers = read_int(data.get("workers", 1), "workers")
-    _require(workers >= 1, "workers must be >= 1")
+    runs = read_int(data.get("runs", 1), "runs", least=1)
+    seed_base = read_int(data.get("seed_base", base.seed), "seed_base", least=0)
+    workers = read_int(data.get("workers", 1), "workers", least=1)
     write_summaries = data.get("write_run_summaries", False)
     _require(isinstance(write_summaries, bool), "write_run_summaries must be true or false")
     return SweepConfig(

@@ -119,9 +119,7 @@ def load_topology(description) -> tuple[Topology, dict]:
     if kind == "explicit":
         topo = from_adjacency(description["adjacency"])
         return topo, {"kind": kind, "adjacency": [list(row) for row in topo.adjacency]}
-    n = read_int(description["n"], "topology.n")
-    if n > MAX_CIRCLE_NODES:
-        raise ConfigError(f"topology.n must be at most {MAX_CIRCLE_NODES}, not {n}")
+    n = read_int(description["n"], "topology.n", most=MAX_CIRCLE_NODES)
     diameter = read_number(description["diameter"], "topology.diameter")
     comm_range = read_number(description["range"], "topology.range")
     canonical = {"kind": kind, "n": n, "diameter": diameter, "range": comm_range}

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import run_file_texts
 from pcosync import cli
+from pcosync.adversary import MAX_TOTAL_PULSES
 from pcosync.cli import main, write_run_outputs
 from pcosync.core import MAX_TICKS_PER_PERIOD, TickClock
 from pcosync.engine import FIRED, Instant, SimulationResult
@@ -470,6 +471,12 @@ BAD_SCENARIOS = {
     "horizon-over-cap": with_fields(shipped_config(),
                                     horizon_ticks=MAX_HORIZON_PERIODS * 1_000_000 + 1),
     "horizon-overflows-float": with_fields(shipped_config(), horizon_ticks=10**400),
+    # a horizon so sparse that only the cap, not the channel capacity, rejects the budget
+    "total-pulses-over-cap": shipped_with_attack(kind="random_budget",
+                                                 total_pulses=MAX_TOTAL_PULSES + 1,
+                                                 horizon_ticks=10**15),
+    "total-pulses-far-over-cap": shipped_with_attack(kind="random_budget", total_pulses=10**12,
+                                                     horizon_ticks=10**15),
     **{f"topology-{name}": with_fields(small_scenario(), topology=topo)
        for name, topo in BAD_TOPOLOGIES.items()},
 }
@@ -506,6 +513,13 @@ def test_validate_accepts_each_cap(tmp_path, capsys, data, code, line):
     assert main(["validate", "--config", write_config(tmp_path, data)]) == code
     captured = capsys.readouterr()
     assert captured.err == "" and line in captured.out
+
+
+def test_parse_accepts_a_budget_at_the_cap():
+    # parsed only: validate would draw a million pulses
+    data = shipped_with_attack(kind="random_budget", total_pulses=MAX_TOTAL_PULSES,
+                               horizon_ticks=10**15)
+    assert parse_scenario(data).attack_desc["total_pulses"] == MAX_TOTAL_PULSES
 
 
 def test_single_pulse_scripted_train_is_legal(tmp_path, capsys):

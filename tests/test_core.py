@@ -3,7 +3,7 @@ import math
 import pytest
 
 from oracles import floor_split_holds
-from pcosync.core import TWO_PI, ConfigError, TickClock, read_number
+from pcosync.core import TWO_PI, ConfigError, TickClock, read_int, read_number
 
 
 def test_floor_split_examples():
@@ -89,3 +89,22 @@ def test_read_number_rejects_an_int_beyond_float_range():
     with pytest.raises(ConfigError, match="must be a finite number"):
         read_number(10**400, "mechanism.coupling")
     assert read_number(10**300, "x") == 1e300
+
+
+def test_read_int_accepts_each_bound():
+    assert read_int(0, "x", least=0, most=1000) == 0
+    assert read_int(1000, "x", least=0, most=1000) == 1000
+    # an integral float is converted before the range check
+    value = read_int(1e3, "x", most=1000)
+    assert value == 1000 and type(value) is int
+
+
+@pytest.mark.parametrize("value,bounds,message", [
+    (-1, {"least": 0}, "x must be at least 0, not -1"),
+    (1001, {"most": 1000}, "x must be at most 1000, not 1001"),
+    (1001.0, {"least": 0, "most": 1000}, "x must be at most 1000, not 1001"),
+])
+def test_read_int_rejects_one_past_a_bound(value, bounds, message):
+    with pytest.raises(ConfigError) as info:
+        read_int(value, "x", **bounds)
+    assert str(info.value) == message

@@ -95,6 +95,14 @@ def test_two_oscillators_sync_at_first_period():
     assert later == [2 * TPP, 2 * TPP, 3 * TPP, 3 * TPP]
 
 
+def test_run_with_no_instants_keeps_the_initial_offsets():
+    # the horizon ends before either oscillator reaches the top
+    topo = from_adjacency([[1], [0]])
+    result = quorum_n_sim(topo, {0: 0, 1: HALF}, horizon=HALF - 1).run()
+    assert result.instants == []
+    assert result.final_offsets == result.initial_offsets == (0, HALF)
+
+
 def test_single_oscillator_free_runs_on_half_period_cadence():
     topo = from_adjacency([[]])
     sim = quorum_n_sim(topo, {0: 0}, horizon=3 * TPP)
