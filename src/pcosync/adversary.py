@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .core import ConfigError, TickClock, read_int
+from .core import ConfigError, TickClock, read_int, read_kind
 
 # the fields each attack kind takes besides "kind"; seed_scope defaults to SEED_SCOPE
 _ATTACK_FIELDS = {
@@ -51,19 +51,13 @@ class AttackSchedule:
 def read_attack(section, attacker_ids: tuple[int, ...]) -> dict:
     """The canonical description of an ``attackers.attack`` config section.
 
-    This is the one check of an attack section: the kind, exactly the fields
-    that kind lists in ``_ATTACK_FIELDS``, their types and ranges, and, for
-    ``scripted``, that each tick list belongs to a distinct attacker.
+    This is the one check of an attack section: the kind and its fields
+    (``core.read_kind`` over ``_ATTACK_FIELDS``), their types and ranges,
+    and, for ``scripted``, that each tick list belongs to a distinct attacker.
     """
-    kind = section.get("kind") if isinstance(section, dict) else None
-    fields = _ATTACK_FIELDS.get(kind) if isinstance(kind, str) else None
-    if fields is None:
-        raise ConfigError(f"unknown attack kind {kind!r}")
-    unknown = set(section) - {"kind", *fields}
-    if unknown:
-        raise ConfigError(f"unknown {kind} attack fields: {sorted(unknown)}")
+    kind = read_kind(section, "attack", _ATTACK_FIELDS, optional={"seed_scope"})
     if kind == "scripted":
-        ticks = section.get("ticks")
+        ticks = section["ticks"]
         if not isinstance(ticks, dict):
             raise ConfigError("scripted attack needs a 'ticks' mapping")
         scripted = {}
@@ -76,19 +70,17 @@ def read_attack(section, attacker_ids: tuple[int, ...]) -> dict:
         if not set(scripted) <= set(attacker_ids):
             raise ConfigError("scripted ticks reference a non-attacker id")
         return {"kind": kind, "ticks": {str(a): scripted[a] for a in sorted(scripted)}}
-    description = {"kind": kind}
-    for f in fields:
-        if f == "seed_scope":
-            value = section.get(f, SEED_SCOPE)
-            if not isinstance(value, str):
-                raise ConfigError(f"attackers.attack.seed_scope must be a string, not {value!r}")
-        elif f in section:
-            value = read_int(section[f], f"attackers.attack.{f}", least=0,
-                             most=MAX_TOTAL_PULSES if f == "total_pulses" else None)
-        else:
-            raise ConfigError(f"{kind} attack needs {f}")
-        description[f] = value
-    return description
+    scope = section.get("seed_scope", SEED_SCOPE)
+    if not isinstance(scope, str):
+        raise ConfigError(f"attackers.attack.seed_scope must be a string, not {scope!r}")
+    return {
+        "kind": kind,
+        "total_pulses": read_int(section["total_pulses"], "attackers.attack.total_pulses",
+                                 least=0, most=MAX_TOTAL_PULSES),
+        "horizon_ticks": read_int(section["horizon_ticks"], "attackers.attack.horizon_ticks",
+                                  least=0),
+        "seed_scope": scope,
+    }
 
 
 def _capacity(horizon: int, eps: int) -> int:

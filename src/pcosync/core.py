@@ -23,7 +23,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class TickClock:
-    """Tick/radian/second conversions for one oscillation period.
+    """One oscillation period in ticks, and its tick-to-second conversion.
 
     ``ticks_per_period`` must be even so that the half-cycle reset target
     (pi rad) is tick-exact, and at most ``MAX_TICKS_PER_PERIOD``.
@@ -44,19 +44,8 @@ class TickClock:
         if not isinstance(eps, int) or eps <= 0 or eps >= tpp // 2:
             raise ConfigError("clock.epsilon_ticks must lie in (0, ticks_per_period/2)")
 
-    def rad_to_ticks(self, angle: float) -> int:
-        """Nearest tick for an angle in [0, 2*pi].
-
-        2*pi maps exactly to ticks_per_period and pi exactly to half of it;
-        the mapping is monotone nondecreasing.
-        """
-        if not 0.0 <= angle <= TWO_PI:
-            raise ValueError(f"angle {angle!r} outside [0, 2*pi]")
-        return round(angle / TWO_PI * self.ticks_per_period)
-
     def ticks_to_seconds(self, ticks: int) -> float:
-        # Unit angular speed: one period lasts 2*pi seconds, so the scale
-        # factor is the same as for radians.
+        # unit angular speed: one period lasts 2*pi seconds
         return ticks / self.ticks_per_period * TWO_PI
 
 
@@ -71,6 +60,35 @@ def read_int(value, field: str, least: int | None = None, most: int | None = Non
     if most is not None and value > most:
         raise ConfigError(f"{field} must be at most {most}, not {value}")
     return value
+
+
+def read_fields(value, name: str, fields) -> dict:
+    """A config section: a mapping with no keys beyond ``fields``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a mapping")
+    unknown = set(value) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown {name} fields: {sorted(unknown)}")
+    return value
+
+
+def read_kind(value, name: str, kinds: dict, optional=()) -> str:
+    """The kind of a config section that ``kinds`` maps to the fields it takes besides ``kind``.
+
+    The section holds ``kind`` and only that kind's fields, and every field
+    that is not ``optional``.
+    """
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a mapping")
+    kind = value.get("kind")
+    fields = kinds.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        raise ConfigError(f"unknown {name} kind {kind!r}")
+    read_fields(value, f"{kind} {name}", {"kind", *fields})
+    missing = [f for f in fields if f not in value and f not in optional]
+    if missing:
+        raise ConfigError(f"{kind} {name} needs {missing}")
+    return kind
 
 
 def read_number(value, field: str) -> float:

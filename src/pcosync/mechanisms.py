@@ -27,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .core import ConfigError, TickClock, read_int, read_number
+from .core import ConfigError, TickClock, read_int, read_kind, read_number
 from .engine import OscillatorState
 from .topology import Topology
 
@@ -148,15 +148,9 @@ _PARAMETERS = {
 
 def read_mechanism(section) -> dict:
     """The canonical description of a ``mechanism`` config section: its kind and parameters."""
-    kind = section.get("kind") if isinstance(section, dict) else None
-    params = _PARAMETERS.get(kind) if isinstance(kind, str) else None
-    if params is None:
-        raise ConfigError(f"unknown mechanism kind {kind!r}")
-    if set(section) != {"kind", *params}:
-        raise ConfigError(f"{kind} mechanism takes exactly the fields {['kind', *params]}, "
-                          f"not {sorted(section)}")
+    kind = read_kind(section, "mechanism", _PARAMETERS)
     description = {"kind": kind}
-    for name, (read, check, rule) in params.items():
+    for name, (read, check, rule) in _PARAMETERS[kind].items():
         description[name] = value = read(section[name], f"mechanism.{name}")
         if not check(value):
             raise ConfigError(f"mechanism.{name} must {rule}, not {value!r}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from random import Random
 
 from . import adversary, mechanisms, topology as topo_mod
-from .core import TWO_PI, ConfigError, TickClock, read_int, read_number
+from .core import ConfigError, TickClock, read_fields, read_int
 from .engine import Simulation, SimulationResult
 from .metrics import summarize_run
 from .topology import Topology
@@ -36,7 +36,7 @@ class ScenarioConfig:
     mechanism_desc: dict
     attacker_ids: tuple[int, ...]
     attack_desc: dict | None
-    phases_desc: dict  # {"random_uniform": scope} or {"radians": [...]}
+    phases_desc: dict  # {"random_uniform": scope} or {"ticks": [...]}
     horizon_ticks: int
     seed: int
 
@@ -48,20 +48,14 @@ def _require(cond: bool, msg: str) -> None:
 
 def _section(data: dict, key: str, allowed: set) -> dict:
     """A mapping-valued section (absent or null means empty) with only the allowed keys."""
-    section = {} if data.get(key) is None else data[key]
-    _require(isinstance(section, dict), f"{key} must be a mapping")
-    unknown = set(section) - allowed
-    _require(not unknown, f"unknown {key} fields: {sorted(unknown)}")
-    return section
+    return read_fields({} if data.get(key) is None else data[key], key, allowed)
 
 
 def parse_scenario(data: dict) -> ScenarioConfig:
     """Validate a scenario mapping (parsed JSON) into a ScenarioConfig."""
-    _require(isinstance(data, dict), "scenario config must be a mapping")
-    unknown = set(data) - {
+    read_fields(data, "scenario", {
         "clock", "topology", "mechanism", "attackers", "initial_phases", "horizon_ticks", "seed",
-    }
-    _require(not unknown, f"unknown scenario fields: {sorted(unknown)}")
+    })
 
     clock_data = _section(data, "clock", {"ticks_per_period", "epsilon_ticks"})
     clock = TickClock(**{k: read_int(v, f"clock.{k}") for k, v in clock_data.items()})
@@ -90,23 +84,22 @@ def parse_scenario(data: dict) -> ScenarioConfig:
         _require("attack" not in attackers, "attack spec given without attacker ids")
 
     n_legit = topo.n - len(ids)
-    phases_data = (_section(data, "initial_phases", {"random_uniform", "radians"})
+    phases_data = (_section(data, "initial_phases", {"random_uniform", "ticks"})
                    if "initial_phases" in data else {"random_uniform": PHASE_SEED_SCOPE})
     _require(len(phases_data) == 1,
-             "initial_phases must be {'random_uniform': scope} or {'radians': [...]}")
+             "initial_phases must be {'random_uniform': scope} or {'ticks': [...]}")
     if "random_uniform" in phases_data:
         scope = phases_data["random_uniform"]
         _require(isinstance(scope, str),
                  f"initial_phases.random_uniform must be a string, not {scope!r}")
         phases_desc = {"random_uniform": scope}
     else:
-        raw = phases_data["radians"]
-        _require(isinstance(raw, list), "initial_phases.radians must be a list")
+        raw = phases_data["ticks"]
+        _require(isinstance(raw, list), "initial_phases.ticks must be a list")
         _require(len(raw) == n_legit,
-                 f"initial_phases.radians must list {n_legit} values (one per legitimate oscillator)")
-        radians = [read_number(x, "initial_phases.radians") for x in raw]
-        _require(all(0.0 <= x <= TWO_PI for x in radians), "initial phases must lie in [0, 2*pi]")
-        phases_desc = {"radians": radians}
+                 f"initial_phases.ticks must list {n_legit} values (one per legitimate oscillator)")
+        phases_desc = {"ticks": [read_int(x, "initial_phases.ticks", least=0,
+                                          most=clock.ticks_per_period) for x in raw]}
 
     default_horizon = DEFAULT_HORIZON_PERIODS * clock.ticks_per_period
     horizon = read_int(data.get("horizon_ticks", default_horizon), "horizon_ticks",
@@ -157,9 +150,9 @@ def scoped_seed(seed: int, scope: str) -> int:
 
 def draw_initial_phases(config: ScenarioConfig, legit_ids) -> dict:
     """Initial phase ticks per legitimate oscillator (explicit or seeded draw)."""
-    radians = config.phases_desc.get("radians")
-    if radians is not None:
-        return {i: config.clock.rad_to_ticks(x) for i, x in zip(legit_ids, radians)}
+    ticks = config.phases_desc.get("ticks")
+    if ticks is not None:
+        return dict(zip(legit_ids, ticks))
     rng = Random(scoped_seed(config.seed, config.phases_desc["random_uniform"]))
     tpp = config.clock.ticks_per_period
     return {i: round(rng.random() * tpp) for i in legit_ids}
@@ -231,9 +224,7 @@ class SweepConfig:
 
 
 def parse_sweep(data: dict) -> SweepConfig:
-    _require(isinstance(data, dict), "sweep config must be a mapping")
-    unknown = set(data) - {"base", "runs", "seed_base", "workers", "write_run_summaries"}
-    _require(not unknown, f"unknown sweep fields: {sorted(unknown)}")
+    read_fields(data, "sweep", {"base", "runs", "seed_base", "workers", "write_run_summaries"})
     _require("base" in data, "sweep config needs a 'base' scenario")
     base = parse_scenario(data["base"])
     runs = read_int(data.get("runs", 1), "runs", least=1)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ConfigError, read_int, read_number
+from .core import ConfigError, read_int, read_kind, read_number
 
 
 @dataclass(frozen=True)
@@ -107,15 +107,7 @@ def load_topology(description) -> tuple[Topology, dict]:
     and the canonical description (fixed keys, normalized value types) that
     feeds the config digest.
     """
-    if not isinstance(description, dict):
-        raise ConfigError("topology description must be a mapping")
-    kind = description.get("kind")
-    fields = _TOPOLOGY_FIELDS.get(kind) if isinstance(kind, str) else None
-    if fields is None:
-        raise ConfigError(f"unknown topology kind {kind!r}")
-    if set(description) != {"kind", *fields}:
-        raise ConfigError(f"{kind} topology takes exactly the fields {['kind', *fields]}, "
-                          f"not {sorted(description)}")
+    kind = read_kind(description, "topology", _TOPOLOGY_FIELDS)
     if kind == "explicit":
         topo = from_adjacency(description["adjacency"])
         return topo, {"kind": kind, "adjacency": [list(row) for row in topo.adjacency]}

@@ -438,7 +438,14 @@ BAD_SCENARIOS = {
     "ids-string": attacked_scenario(ids="12"),
     "coupling-string": with_fields(small_scenario(),
                                    mechanism={"kind": "conventional", "coupling": "x"}),
-    "radians-strings": with_fields(small_scenario(), initial_phases={"radians": ["a"] * 8}),
+    "ticks-strings": with_fields(small_scenario(), initial_phases={"ticks": ["a"] * 8}),
+    "ticks-over-a-period": with_fields(small_scenario(), initial_phases={
+        "ticks": [0] * 7 + [1_000_001]}),
+    "ticks-negative": with_fields(small_scenario(), initial_phases={"ticks": [-1] + [0] * 7}),
+    "ticks-fraction": with_fields(small_scenario(), initial_phases={"ticks": [0.5] + [0] * 7}),
+    "ticks-one-short": with_fields(small_scenario(), initial_phases={"ticks": [0] * 7}),
+    # the removed radians form is an unknown field
+    "radians": with_fields(small_scenario(), initial_phases={"radians": [0.1] * 8}),
     "coupling-overflows-float": with_fields(small_scenario(),
                                             mechanism={"kind": "conventional", "coupling": 10**400}),
     "scripted-key": with_fields(small_scenario(),
@@ -447,9 +454,9 @@ BAD_SCENARIOS = {
     "output-section": with_fields(small_scenario(), output={"arc_trace_in_summary": True}),
     "attack-unknown-field": attacked_scenario(period_ticks=5),
     "phases-unknown-field": with_fields(small_scenario(), initial_phases={
-        "random_uniform": "phases", "radians_typo": [1]}),
+        "random_uniform": "phases", "ticks_typo": [1]}),
     "phases-both-kinds": with_fields(small_scenario(), initial_phases={
-        "random_uniform": "phases", "radians": [0.1] * 8}),
+        "random_uniform": "phases", "ticks": [0] * 8}),
     "phases-scope-int": with_fields(small_scenario(), initial_phases={"random_uniform": 5}),
     "seed-scope-int": attacked_scenario(seed_scope=7),
     "scripted-closer-than-epsilon": shipped_with_attack(kind="scripted", ticks={"1": [5, 6]}),

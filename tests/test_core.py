@@ -1,9 +1,15 @@
-import math
-
 import pytest
 
 from oracles import floor_split_holds
-from pcosync.core import TWO_PI, ConfigError, TickClock, read_int, read_number
+from pcosync.core import (
+    TWO_PI,
+    ConfigError,
+    TickClock,
+    read_fields,
+    read_int,
+    read_kind,
+    read_number,
+)
 
 
 def test_floor_split_examples():
@@ -43,40 +49,6 @@ def test_clock_validation():
     assert clock.epsilon_ticks == 10_000
 
 
-def test_rad_to_ticks_exact_landmarks():
-    clock = TickClock()
-    assert clock.rad_to_ticks(TWO_PI) == 1_000_000
-    assert clock.rad_to_ticks(math.pi) == 500_000
-    assert clock.rad_to_ticks(0.0) == 0
-
-
-def test_rad_to_ticks_range_check():
-    clock = TickClock()
-    with pytest.raises(ValueError):
-        clock.rad_to_ticks(-0.1)
-    with pytest.raises(ValueError):
-        clock.rad_to_ticks(TWO_PI + 0.1)
-
-
-def test_rad_to_ticks_monotone():
-    clock = TickClock(ticks_per_period=1000, epsilon_ticks=10)
-    angles = [k * TWO_PI / 7919 for k in range(7920)]
-    ticks = [clock.rad_to_ticks(min(a, TWO_PI)) for a in angles]
-    assert all(b >= a for a, b in zip(ticks, ticks[1:]))
-
-
-def test_tick_radian_round_trip():
-    # at unit angular speed a phase of x rad takes x seconds, so
-    # ticks_to_seconds is the inverse of rad_to_ticks
-    clock = TickClock()
-    one_tick = TWO_PI / clock.ticks_per_period
-    x = 0.0
-    while x <= TWO_PI:
-        assert abs(clock.ticks_to_seconds(clock.rad_to_ticks(x)) - x) < one_tick
-        x += 0.0137
-    assert clock.ticks_to_seconds(clock.rad_to_ticks(TWO_PI)) == TWO_PI
-
-
 def test_ticks_to_seconds_matches_unit_speed():
     clock = TickClock()
     # phase advances one radian per second, so a full period is 2*pi seconds
@@ -107,4 +79,36 @@ def test_read_int_accepts_each_bound():
 def test_read_int_rejects_one_past_a_bound(value, bounds, message):
     with pytest.raises(ConfigError) as info:
         read_int(value, "x", **bounds)
+    assert str(info.value) == message
+
+
+KINDS = {"circle": ("n", "range"), "scripted": ("ticks", "seed_scope")}
+
+
+def test_read_fields_and_read_kind_accept_a_well_formed_section():
+    assert read_fields({"a": 1}, "x", {"a", "b"}) == {"a": 1}
+    assert read_kind({"kind": "circle", "n": 8, "range": 3}, "x", KINDS) == "circle"
+    # a missing optional field passes
+    section = {"kind": "scripted", "ticks": {}}
+    assert read_kind(section, "x", KINDS, optional={"seed_scope"}) == "scripted"
+
+
+@pytest.mark.parametrize("read,message", [
+    (lambda: read_fields([], "x", {"a"}), "x must be a mapping"),
+    (lambda: read_fields({"a": 1, "c": 2, "b": 3}, "x", {"a"}), "unknown x fields: ['b', 'c']"),
+    (lambda: read_kind(None, "x", KINDS), "x must be a mapping"),
+    (lambda: read_kind({"kind": "square"}, "x", KINDS), "unknown x kind 'square'"),
+    (lambda: read_kind({"kind": 5}, "x", KINDS), "unknown x kind 5"),
+    (lambda: read_kind({"n": 8}, "x", KINDS), "unknown x kind None"),
+    (lambda: read_kind({"kind": "circle", "n": 8, "range": 3, "d": 4}, "x", KINDS),
+     "unknown circle x fields: ['d']"),
+    (lambda: read_kind({"kind": "circle", "n": 8}, "x", KINDS), "circle x needs ['range']"),
+    (lambda: read_kind({"kind": "scripted"}, "x", KINDS, optional={"seed_scope"}),
+     "scripted x needs ['ticks']"),
+], ids=["fields-not-a-mapping", "fields-unknown", "kind-not-a-mapping", "kind-unknown",
+        "kind-not-a-string", "kind-missing", "kind-unknown-field", "kind-missing-field",
+        "kind-missing-required-beside-optional"])
+def test_section_readers_reject_with_one_message_form(read, message):
+    with pytest.raises(ConfigError) as info:
+        read()
     assert str(info.value) == message

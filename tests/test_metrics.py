@@ -20,7 +20,8 @@ TPP = CLOCK.ticks_per_period
 
 
 def rad(x):
-    return CLOCK.rad_to_ticks(x)
+    """The nearest tick to an angle in [0, 2*pi]."""
+    return round(x / TWO_PI * TPP)
 
 
 def anchored_arc_oracle(phases, tpp):

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from pcosync.cli import write_run_outputs
+from pcosync.core import MAX_TICKS_PER_PERIOD
 from pcosync.scenario import (
     ConfigError,
     canonical_dict,
@@ -40,12 +42,19 @@ def with_attack(**attack):
     return data
 
 
+def with_phases(**phases):
+    data = json.loads(json.dumps(BASE))
+    data["initial_phases"] = phases
+    return data
+
+
 ROUND_TRIP = {
     **{path.stem: json.loads(path.read_text()) for path in sorted(CONFIG_DIR.glob("circle24_*.json"))},
     "sweep-base": json.loads((CONFIG_DIR / "sweep_quorum_n_attacked.json").read_text())["base"],
     "scripted": with_attack(kind="scripted", ticks={"20": [7], "1": [5, 20_006]}),
     "random-budget-scoped": with_attack(kind="random_budget", total_pulses=40,
                                         horizon_ticks=3e6, seed_scope="sneak"),
+    "explicit-ticks": with_phases(ticks=[0, *range(50_000, 1_000_000, 50_000), 1_000_000]),
 }
 
 
@@ -107,7 +116,7 @@ def test_import_leaves_out_what_a_serial_run_never_uses():
     (lambda d: d["attackers"]["ids"].append(8), "twice"),
     (lambda d: d["attackers"].pop("attack"), "attack"),
     (lambda d: d.update(horizon_ticks=0), "horizon"),
-    (lambda d: d.update(initial_phases={"radians": [0.0]}), "radians"),
+    (lambda d: d.update(initial_phases={"ticks": [0]}), "ticks"),
     (lambda d: d.update(bogus=1), "unknown"),
     (lambda d: d["clock"].update(epsilon_ticks=600_000), "clock"),
     (lambda d: d["mechanism"].update(kind="nope"), "nope"),
@@ -125,11 +134,10 @@ def test_parse_rejects_inconsistent_configs(mutate, fragment):
 
 
 def test_explicit_phases_accepted():
-    data = json.loads(json.dumps(BASE))
-    data["initial_phases"] = {"radians": [0.1] * 21}
-    config = parse_scenario(data)
-    phases = draw_initial_phases(config, [i for i in range(24) if i not in (1, 8, 20)])
-    assert set(phases.values()) == {config.clock.rad_to_ticks(0.1)}
+    ticks = [0, *range(50_000, 1_000_000, 50_000), 1_000_000]
+    config = parse_scenario(with_phases(ticks=ticks))
+    legit = [i for i in range(24) if i not in (1, 8, 20)]
+    assert draw_initial_phases(config, legit) == dict(zip(legit, ticks))
 
 
 def test_phase_draw_is_seed_scoped_and_deterministic():
@@ -151,6 +159,47 @@ def test_scripted_replay_reproduces_event_log():
     replay = run_scenario(parse_scenario(replay_data))
     assert replay.result.records == art.result.records
     assert replay.result.snapshots == art.result.snapshots
+
+
+def at_tick_cap():
+    # an attacked run at the largest clock, where a phase in radians would not round-trip
+    data = json.loads((CONFIG_DIR / "circle24_quorum_n_attacked.json").read_text())
+    tpp = MAX_TICKS_PER_PERIOD
+    data["clock"] = {"ticks_per_period": tpp, "epsilon_ticks": tpp // 100}
+    data["attackers"]["attack"]["horizon_ticks"] = 7 * tpp // 2
+    data["horizon_ticks"] = 5 * tpp
+    return data
+
+
+REPLAYS = {
+    **{f"{path.stem}-seed{seed}": (json.loads(path.read_text()), seed)
+       for path in sorted(CONFIG_DIR.glob("circle24_*.json")) for seed in range(4)},
+    # four seeds, like the configs above: seed 0 draws no phase that radians would move
+    **{f"tick-cap-seed{seed}": (at_tick_cap(), seed) for seed in range(4)},
+}
+
+
+@pytest.mark.parametrize("data,seed", REPLAYS.values(), ids=REPLAYS.keys())
+def test_run_replays_from_its_own_summary(tmp_path, data, seed):
+    # the summary's initial phases and attack trains are the whole run: a
+    # config built from them, under another seed, writes the same files
+    original = run_scenario(parse_scenario({**data, "seed": seed}))
+    summary = original.summary
+    replay_data = {**data, "seed": seed + 1,
+                   "initial_phases": {"ticks": summary["initial_phases_ticks"]}}
+    if "attackers" in data:
+        replay_data["attackers"] = {**data["attackers"], "attack": {
+            "kind": "scripted", "ticks": summary["attack_schedules"]}}
+    # through JSON, as a config file is read
+    replay = run_scenario(parse_scenario(json.loads(json.dumps(replay_data))))
+    for name, artifacts in (("original", original), ("replay", replay)):
+        (tmp_path / name).mkdir()
+        write_run_outputs(artifacts, tmp_path / name)
+    for f in ("events.jsonl", "phases.csv"):
+        assert (tmp_path / "replay" / f).read_text() == (tmp_path / "original" / f).read_text()
+    # phases.csv prints 9 digits; the summary holds every initial phase to the tick
+    assert {**replay.summary, "seed": seed, "config_digest": None} == {
+        **summary, "config_digest": None}
 
 
 def test_sweep_parallelism_does_not_change_bytes():
