@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .core import ConfigError, TickClock, read_int, read_kind
+from .core import ConfigError, TickClock, read_int, read_kind, read_mapping
 
 # the fields each attack kind takes besides "kind"; seed_scope defaults to SEED_SCOPE
 _ATTACK_FIELDS = {
@@ -57,11 +57,8 @@ def read_attack(section, attacker_ids: tuple[int, ...]) -> dict:
     """
     kind = read_kind(section, "attack", _ATTACK_FIELDS, optional={"seed_scope"})
     if kind == "scripted":
-        ticks = section["ticks"]
-        if not isinstance(ticks, dict):
-            raise ConfigError("scripted attack needs a 'ticks' mapping")
         scripted = {}
-        for a, ts in ticks.items():
+        for a, ts in read_mapping(section["ticks"], "attackers.attack.ticks").items():
             if not (str(a).isdecimal() and isinstance(ts, list)):
                 raise ConfigError(f"scripted ticks must map attacker ids to tick lists (key {a!r})")
             if int(a) in scripted:

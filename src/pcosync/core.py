@@ -62,14 +62,26 @@ def read_int(value, field: str, least: int | None = None, most: int | None = Non
     return value
 
 
-def read_fields(value, name: str, fields) -> dict:
-    """A config section: a mapping with no keys beyond ``fields``."""
+def read_mapping(value, name: str) -> dict:
+    """A config value that must be a mapping."""
     if not isinstance(value, dict):
         raise ConfigError(f"{name} must be a mapping")
-    unknown = set(value) - set(fields)
+    return value
+
+
+def read_fields(value, name: str, fields) -> dict:
+    """A config section: a mapping with no keys beyond ``fields``."""
+    unknown = set(read_mapping(value, name)) - set(fields)
     if unknown:
         raise ConfigError(f"unknown {name} fields: {sorted(unknown)}")
     return value
+
+
+def require_fields(section: dict, name: str, fields) -> None:
+    """Every one of ``fields`` is present in the config section ``section``."""
+    missing = [f for f in fields if f not in section]
+    if missing:
+        raise ConfigError(f"{name} needs {missing}")
 
 
 def read_kind(value, name: str, kinds: dict, optional=()) -> str:
@@ -78,16 +90,12 @@ def read_kind(value, name: str, kinds: dict, optional=()) -> str:
     The section holds ``kind`` and only that kind's fields, and every field
     that is not ``optional``.
     """
-    if not isinstance(value, dict):
-        raise ConfigError(f"{name} must be a mapping")
-    kind = value.get("kind")
+    kind = read_mapping(value, name).get("kind")
     fields = kinds.get(kind) if isinstance(kind, str) else None
     if fields is None:
         raise ConfigError(f"unknown {name} kind {kind!r}")
     read_fields(value, f"{kind} {name}", {"kind", *fields})
-    missing = [f for f in fields if f not in value and f not in optional]
-    if missing:
-        raise ConfigError(f"{kind} {name} needs {missing}")
+    require_fields(value, f"{kind} {name}", [f for f in fields if f not in optional])
     return kind
 
 

@@ -28,7 +28,24 @@ top of the cycle (so fire suppression applies mid-cascade), and
 same-instant pulses is in the receive log. ``on_pulse`` sees the receive log
 pruned to the trailing half period, with the pulse being handled as its
 newest entry: every earlier entry arrived before that pulse. A mechanism
-reads its phase as ``state.offset + now``. Every pulse to a legitimate
+reads its phase as ``state.offset + now``.
+
+The mechanism contract: a decision reads ``now`` only through
+``state.offset + now``, through differences with the ticks held in
+``state``, and through ``now >= ticks_per_period``; it reads the receive
+log only within the trailing half period; and a mechanism object holds no
+run state. So from the first period on, moving ``now`` and every tick in
+the state by the same amount changes no decision. Once no attacker pulse
+is left, the run is then time-invariant, and ``run`` repeats a steady
+state instead of resolving it: at each instant in which every legitimate
+oscillator was parked, from the later of the last attack pulse and the
+first period, while two periods remain before the horizon, it keys the
+state relative to the tick (``_state_key``). When a key repeats, the run
+goes on as it did after the first instant with that key, shifted by the
+tick difference, so the log is filled to the horizon with shifted copies
+of the instants in between, which share their ``events`` lists.
+
+Every pulse to a legitimate
 oscillator is queued and added to its receive log when delivered; an
 oscillator parked at the top ignores pulses but still counts them. Once
 every legitimate oscillator is parked, as in each instant of a synchronized
@@ -47,7 +64,7 @@ sum(outdegree) <= n(n-1) deliveries.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -240,8 +257,20 @@ class Simulation:
         self._log = []
 
         horizon = self.horizon
+        # an instant is keyed once no attacker pulse is left and the first
+        # period is over, while two periods remain before the horizon
+        quiet = max([t for ticks in self.schedules.values() for t in ticks if t <= horizon]
+                    + [tpp])
+        last_keyed = horizon - 2 * tpp
+        keyed: dict = {}  # state key -> log length after the instant that took it
         while queue and queue[0][0] <= horizon:
-            self._resolve_instant(queue[0][0])
+            t = queue[0][0]
+            if self._resolve_instant(t) and quiet <= t <= last_keyed:
+                key = self._state_key(t)
+                if key in keyed:
+                    self._repeat(keyed[key], horizon)
+                    break
+                keyed[key] = len(self._log)
 
         return SimulationResult(
             clock=self.clock,
@@ -254,10 +283,53 @@ class Simulation:
             instants=self._log,
         )
 
+    # -- steady-state repeat -----------------------------------------------
+
+    def _state_key(self, t: int) -> tuple:
+        """Everything a later instant can read, relative to tick t.
+
+        Per legitimate oscillator: its phase, the ages of its receive-log
+        entries younger than half a period, and its last-fire and
+        last-reset-to-zero ages; then every queue entry, superseded wraps
+        included, as (tick - t, prio, node).
+        """
+        cutoff = t - self.clock.ticks_per_period // 2
+        oscillators = []
+        for st in self._legit_states:
+            log = st.receive_log
+            fired, zeroed = st.last_fire_tick, st.last_reset_to_zero_tick
+            oscillators.append((
+                st.offset + t,
+                tuple([t - x for x in log[bisect_right(log, cutoff):]]),
+                None if fired is None else t - fired,
+                None if zeroed is None else t - zeroed,
+            ))
+        return tuple(oscillators), tuple(sorted([(k - t, p, i) for k, p, i in self._queue]))
+
+    def _repeat(self, start: int, horizon: int) -> None:
+        """Fill the log to the horizon with shifted copies of the instants from ``start`` on.
+
+        The last instant has the state key of instant ``start - 1``, so the
+        run goes on as it did after that one, shifted by their tick difference.
+        """
+        log = self._log
+        cycle = log[start:]
+        shift = log[-1].tick - log[start - 1].tick
+        by = shift
+        while True:
+            for tick, offsets, events in cycle:
+                if tick + by > horizon:
+                    return
+                log.append(Instant(tick + by, tuple([o - by for o in offsets]), events))
+            by += shift
+
     # -- instant resolution ------------------------------------------------
 
-    def _resolve_instant(self, t: int) -> None:
-        """Drain every event scheduled at tick t, cascade to a fixpoint and log the instant."""
+    def _resolve_instant(self, t: int) -> bool:
+        """Drain every event scheduled at tick t, cascade to a fixpoint and log the instant.
+
+        Returns whether every legitimate oscillator was parked at the top in it.
+        """
         queue = self._queue
         states = self._states
         targets = self._targets
@@ -348,3 +420,4 @@ class Simulation:
             heapq.heappush(queue, (tpp - st.offset, _PRIO_WRAP, i))
 
         self._log.append(Instant(t, tuple([st.offset for st in self._legit_states]), events))
+        return len(at_top) == len(states)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from random import Random
 
 from . import adversary, mechanisms, topology as topo_mod
-from .core import ConfigError, TickClock, read_fields, read_int
+from .core import ConfigError, TickClock, read_fields, read_int, require_fields
 from .engine import Simulation, SimulationResult
 from .metrics import summarize_run
 from .topology import Topology
@@ -56,14 +56,13 @@ def parse_scenario(data: dict) -> ScenarioConfig:
     read_fields(data, "scenario", {
         "clock", "topology", "mechanism", "attackers", "initial_phases", "horizon_ticks", "seed",
     })
+    require_fields(data, "scenario", ["topology", "mechanism"])
 
     clock_data = _section(data, "clock", {"ticks_per_period", "epsilon_ticks"})
     clock = TickClock(**{k: read_int(v, f"clock.{k}") for k, v in clock_data.items()})
 
-    _require("topology" in data, "scenario needs a topology section")
     topo, topo_desc = topo_mod.load_topology(data["topology"])
 
-    _require("mechanism" in data, "scenario needs a mechanism section")
     mechanism_desc = mechanisms.read_mechanism(data["mechanism"])
     n_known = mechanism_desc.get("n_known", topo.n)  # only quorum_n takes one
     _require(n_known == topo.n,
@@ -78,7 +77,7 @@ def parse_scenario(data: dict) -> ScenarioConfig:
     _require(len(ids) < topo.n, "at least one oscillator must stay legitimate")
     attack_desc = None
     if ids:
-        _require("attack" in attackers, "attackers present but attackers.attack missing")
+        require_fields(attackers, "attackers", ["attack"])
         attack_desc = adversary.read_attack(attackers["attack"], ids)
     else:
         _require("attack" not in attackers, "attack spec given without attacker ids")
@@ -225,7 +224,7 @@ class SweepConfig:
 
 def parse_sweep(data: dict) -> SweepConfig:
     read_fields(data, "sweep", {"base", "runs", "seed_base", "workers", "write_run_summaries"})
-    _require("base" in data, "sweep config needs a 'base' scenario")
+    require_fields(data, "sweep", ["base"])
     base = parse_scenario(data["base"])
     runs = read_int(data.get("runs", 1), "runs", least=1)
     seed_base = read_int(data.get("seed_base", base.seed), "seed_base", least=0)

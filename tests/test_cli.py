@@ -484,6 +484,11 @@ BAD_SCENARIOS = {
                                                  horizon_ticks=10**15),
     "total-pulses-far-over-cap": shipped_with_attack(kind="random_budget", total_pulses=10**12,
                                                      horizon_ticks=10**15),
+    # a missing section and a ticks field that is not a mapping, in the core message forms
+    "no-topology": {k: v for k, v in small_scenario().items() if k != "topology"},
+    "no-mechanism": {k: v for k, v in small_scenario().items() if k != "mechanism"},
+    "ids-without-attack": with_fields(small_scenario(), attackers={"ids": [1]}),
+    "scripted-ticks-list": shipped_with_attack(kind="scripted", ticks=[5, 700_000]),
     **{f"topology-{name}": with_fields(small_scenario(), topology=topo)
        for name, topo in BAD_TOPOLOGIES.items()},
 }

@@ -177,9 +177,9 @@ def flagship_result(seed=7):
     return flagship_sim(seed).run()
 
 
-def shipped_sim(config_name, seed):
-    config = parse_scenario(json.loads((CONFIG_DIR / config_name).read_text()))
-    return build_simulation(replace(config, seed=seed))[0]
+def shipped_sim(config_name, seed, horizon=None):
+    config = replace(parse_scenario(json.loads((CONFIG_DIR / config_name).read_text())), seed=seed)
+    return build_simulation(config if horizon is None else replace(config, horizon_ticks=horizon))[0]
 
 
 def test_no_legitimate_fire_before_one_period():
@@ -548,3 +548,133 @@ def test_jump_outside_the_cycle_is_rejected(phase):
     sim = Simulation(CLOCK, topo, {0: mech, 1: mech}, {0: TPP - 100, 1: 0}, horizon=3 * TPP)
     with pytest.raises(EngineError, match=f"oscillator 1 jumped to phase {phase},"):
         sim.run()
+
+
+# -- steady-state repeat -----------------------------------------------------------
+
+
+def counting_instants(monkeypatch):
+    """Count the instants the engine resolves, in a one-item list."""
+    resolved = [0]
+    resolve = Simulation._resolve_instant
+
+    def counting(self, t):
+        resolved[0] += 1
+        return resolve(self, t)
+
+    monkeypatch.setattr(Simulation, "_resolve_instant", counting)
+    return resolved
+
+
+def run_with_and_without_repeat(monkeypatch, sim):
+    """(instants, resolved count) of a run, then of the same run simulated to the horizon."""
+    resolved = counting_instants(monkeypatch)
+    repeated = sim.run().instants, resolved[0]
+    resolved[0] = 0
+    monkeypatch.setattr(Simulation, "_state_key", lambda self, t: object())  # no key matches
+    return repeated, (sim.run().instants, resolved[0])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_long_run_repeat_equals_the_simulated_log(monkeypatch, seed):
+    sim = shipped_sim("circle24_quorum_n_attacked.json", seed, horizon=200 * TPP)
+    (repeated, resolved), (simulated, resolved_all) = run_with_and_without_repeat(monkeypatch, sim)
+    assert repeated == simulated
+    assert resolved < 100 < 250 < resolved_all  # the repeat fired
+
+
+@pytest.mark.parametrize("config_name", sorted(p.name for p in CONFIG_DIR.glob("circle24_*.json")))
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_repeat_equals_the_simulated_log_on_every_shipped_config(monkeypatch, config_name, seed):
+    sim = shipped_sim(config_name, seed, horizon=20 * TPP)
+    (repeated, _), (simulated, _) = run_with_and_without_repeat(monkeypatch, sim)
+    assert repeated == simulated
+
+
+@pytest.mark.parametrize("horizon", [12 * TPP - 1, 30 * TPP + HALF + 1])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_repeat_stops_at_a_horizon_inside_a_period(monkeypatch, horizon, seed):
+    sim = shipped_sim("circle24_quorum_n_attacked.json", seed, horizon=horizon)
+    (repeated, resolved), (simulated, resolved_all) = run_with_and_without_repeat(monkeypatch, sim)
+    assert repeated == simulated
+    assert resolved < resolved_all
+
+
+def test_repeat_keeps_a_superseded_wrap_out_of_the_cycle(monkeypatch):
+    # oscillator 3 shifts to the top at tick TPP, when the others first fire,
+    # so its wrap due at 1.4 periods is superseded: that instant of the first
+    # synchronized period logs no events and is not part of the cycle
+    sim = quorum_n_sim(from_adjacency([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]),
+                       {0: 0, 1: 0, 2: 0, 3: 600_000}, horizon=10 * TPP)
+    (repeated, resolved), (simulated, resolved_all) = run_with_and_without_repeat(monkeypatch, sim)
+    assert repeated == simulated
+    assert [i.events for i in simulated if i.tick == TPP + 400_000] == [[]]
+    assert resolved < resolved_all
+
+
+def test_resolved_instants_do_not_grow_with_the_horizon(monkeypatch):
+    resolved = counting_instants(monkeypatch)
+    counts = []
+    for periods in (200, 1000):
+        resolved[0] = 0
+        shipped_sim("circle24_quorum_n_attacked.json", 1, horizon=periods * TPP).run()
+        counts.append(resolved[0])
+    assert counts[0] == counts[1] < 100
+
+
+def test_instants_keyed_only_after_the_attack_and_the_first_period(monkeypatch):
+    keyed = []
+    state_key = Simulation._state_key
+
+    def recording(self, t):
+        keyed.append(t)
+        return state_key(self, t)
+
+    monkeypatch.setattr(Simulation, "_state_key", recording)
+    sim = shipped_sim("circle24_quorum_n_attacked.json", 1, horizon=200 * TPP)
+    sim.run()
+    last_attack = max(t for ticks in sim.schedules.values() for t in ticks)
+    assert keyed and max(last_attack, TPP) <= min(keyed) and max(keyed) <= 198 * TPP
+    # a campaign run's horizon leaves less than two periods after its attack
+    keyed.clear()
+    shipped_sim("circle24_quorum_n_attacked.json", 1).run()
+    assert keyed == []
+
+
+def shift_engine_state(sim, k):
+    """Move every tick the engine state holds k ticks later."""
+    for st in sim._legit_states:
+        st.offset -= k
+        st.receive_log[:] = [x + k for x in st.receive_log]
+        if st.last_fire_tick is not None:
+            st.last_fire_tick += k
+        if st.last_reset_to_zero_tick is not None:
+            st.last_reset_to_zero_tick += k
+    sim._queue[:] = [(tick + k, prio, node) for tick, prio, node in sim._queue]
+
+
+def test_state_key_is_the_state_relative_to_the_tick():
+    sim = quorum_n_sim(from_adjacency([[1], [0]]), {0: 0, 1: HALF}, horizon=3 * TPP)
+    sim.run()
+    t = sim._log[-1].tick
+    st = sim._legit_states[0]
+    st.receive_log[:] = []
+    base = sim._state_key(t)
+    shift_engine_state(sim, 7 * TPP + 3)
+    assert sim._state_key(t + 7 * TPP + 3) == base != sim._state_key(t)
+    shift_engine_state(sim, -7 * TPP - 3)
+    # receive-log entries younger than half a period are keyed, older ones are not
+    for age, keyed in [(0, True), (EPS, True), (HALF - 1, True), (HALF, False), (TPP, False)]:
+        st.receive_log[:] = [t - age]
+        assert (sim._state_key(t) != base) == keyed, age
+    st.receive_log[:] = []
+    # a last fire and a last reset to zero are keyed by their ages, None by itself
+    for name in ("last_fire_tick", "last_reset_to_zero_tick"):
+        kept = getattr(st, name)
+        for value in {t, t - 3 * TPP, None} - {kept}:
+            setattr(st, name, value)
+            assert sim._state_key(t) != base, (name, value)
+        setattr(st, name, kept)
+    # a superseded wrap in the queue is keyed
+    sim._queue.append((t + 1, 1, 1))
+    assert sim._state_key(t) != base

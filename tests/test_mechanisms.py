@@ -1,4 +1,5 @@
 import math
+import random
 from collections import deque
 
 import pytest
@@ -293,3 +294,42 @@ def test_quorum_formulas_match_the_paper_away_from_n24():
             mech = build_mechanism({"kind": KIND_QUORUM_DEGREE}, CLOCK, degree)
             assert mech.reset_over == math.floor(degree / 3) - 1  # resets on at least floor(d/3)
             assert mech.response_quorum == math.floor(degree / 6) - 1
+
+
+# -- decisions are time-invariant after the first period ------------------------
+
+
+def random_decision_state(rng, now):
+    """A state a mechanism may decide on at tick ``now``: the log holds the trailing half period."""
+    pulses = sorted(rng.randrange(now - HALF, now + 1) for _ in range(rng.randrange(6)))
+    if rng.random() < 0.5:  # the tight epsilon window, where the quorum rules turn
+        pulses = sorted(pulses + [now - rng.randrange(EPS + 2) for _ in range(rng.randrange(8))])
+    last_fire, last_zero = (rng.choice([None, now - rng.randrange(2 * EPS),
+                                        now - rng.randrange(2 * TPP)]) for _ in range(2))
+    return rng.randrange(TPP), pulses + [now], last_fire, last_zero
+
+
+@pytest.mark.parametrize("make_mech", [quorum_n_mech, quorum_degree_mech,
+                                       lambda: conventional_mech(0.3)],
+                         ids=["quorum_n", "quorum_degree", "conventional"])
+def test_decisions_are_unchanged_by_a_common_shift_of_every_tick(make_mech):
+    # a decision reads now only through offset + now, through differences with
+    # the ticks the state holds and through now >= ticks_per_period, so the
+    # engine may repeat a steady state: shifting all of them by k changes nothing
+    rng = random.Random(2024)
+    mech = make_mech()
+    decisions = set()
+    for _ in range(2000):
+        now = rng.randrange(TPP, 4 * TPP)
+        k = rng.choice([1, EPS, HALF - 1, TPP, rng.randrange(1, 50 * TPP)])
+        phase, pulses, last_fire, last_zero = random_decision_state(rng, now)
+        base = make_state(phase, pulses, last_fire, last_zero, now)
+        moved = make_state(phase, [p + k for p in pulses],
+                           None if last_fire is None else last_fire + k,
+                           None if last_zero is None else last_zero + k, now + k)
+        decided = tuple(decide(base, now) for decide in (mech.fires, mech.on_reach_top,
+                                                        mech.on_pulse))
+        assert decided == (mech.fires(moved, now + k), mech.on_reach_top(moved, now + k),
+                           mech.on_pulse(moved, now + k))
+        decisions.add(decided)
+    assert len(decisions) >= 6  # the states reach both sides of every rule

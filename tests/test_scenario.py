@@ -114,7 +114,11 @@ def test_import_leaves_out_what_a_serial_run_never_uses():
     (lambda d: d["mechanism"].update(coupling=0.5), "coupling"),
     (lambda d: d["attackers"]["ids"].append(99), "outside"),
     (lambda d: d["attackers"]["ids"].append(8), "twice"),
-    (lambda d: d["attackers"].pop("attack"), "attack"),
+    (lambda d: d["attackers"].pop("attack"), "attackers needs ['attack']"),
+    (lambda d: d.pop("topology"), "scenario needs ['topology']"),
+    (lambda d: [d.pop("mechanism"), d.pop("topology")], "scenario needs ['topology', 'mechanism']"),
+    (lambda d: d["attackers"].update(attack={"kind": "scripted", "ticks": [5]}),
+     "attackers.attack.ticks must be a mapping"),
     (lambda d: d.update(horizon_ticks=0), "horizon"),
     (lambda d: d.update(initial_phases={"ticks": [0]}), "ticks"),
     (lambda d: d.update(bogus=1), "unknown"),
@@ -254,7 +258,7 @@ def test_sweep_aggregate_content():
 
 
 def test_sweep_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^sweep needs \['base'\]$"):
         parse_sweep({"runs": 3})
     with pytest.raises(ConfigError):
         parse_sweep({"base": dict(BASE), "runs": 0})
