@@ -85,27 +85,46 @@ def _event_lines(result):
     The same bytes as ``json.dumps(..., separators=(",", ":"))`` of each of
     ``result.iter_records()``: every field is an int or a fixed kind name.
     The middle of a ``received`` line is fixed per (receiver, sender), so
-    it is built once per edge.
+    it is built once per edge. An instant's ``seq``s are consecutive, so
+    no int is formatted per ``received`` line: a ``seq`` is written as its
+    hundreds, formatted once per instant and hundred (``""`` below 100), and
+    its last two digits, from a table (unpadded below 100).
     """
     middles = [[f',"type":"{RECEIVED}","receiver":{r},"sender":{sender},"seq":' for r in row]
                for sender, row in enumerate(result.adjacency)]
+    digits = ([str(d) for d in range(100)], [f"{d:02}" for d in range(100)])
     seq = 1  # seq of the next delivery
     for t, _, events in result.instants:
         if not events:
             continue
-        head = f'{{"tick":{t}'
-        chunk = []
+        sep = f'}}\n{{"tick":{t}'  # ends a line and begins the next
+        mids = []
         for kind, node in events:
-            chunk.append(f'{head},"type":"{kind}","id":{node}}}\n')
             if kind == FIRED:
-                mids = middles[node]
-                chunk += [f"{head}{m}{q}}}\n" for q, m in enumerate(mids, seq)]
-                seq += len(mids)
+                mids += middles[node]
+        end = seq + len(mids)
+        hundreds, lows = [], []
+        for h in range(seq // 100, (end - 1) // 100 + 1):  # any number of hundreds
+            lo, hi = max(seq - 100 * h, 0), min(end - 100 * h, 100)
+            hundreds += [str(h) if h else ""] * (hi - lo)
+            lows += digits[h > 0][lo:hi]
+        received = [sep] * (4 * len(mids))  # per line: sep, middle, hundreds, last digits
+        received[1::4], received[2::4], received[3::4] = mids, hundreds, lows
+        chunk, i = [], 0
+        for kind, node in events:
+            chunk += (sep, f',"type":"{kind}","id":{node}')
+            if kind == FIRED:
+                j = i + 4 * len(middles[node])
+                chunk += received[i:j]
+                i = j
+        chunk[0] = sep[2:]
+        chunk.append("}\n")
+        seq = end
         yield "".join(chunk)
 
 
 def _phase_lines(result):
-    """phases.csv, one chunk per row.
+    """phases.csv, one chunk per stretch of rows that share their offsets.
 
     A row's tail (the arc and every phase) depends only on the offsets
     relative to the first oscillator's, ``rel``, and on the first phase,
@@ -113,37 +132,41 @@ def _phase_lines(result):
     once per first phase, and the built tails are dropped when ``rel``
     changes. Once the run synchronizes, ``rel`` is all zeros for good and
     the cadence rows repeat every period, so each of their tails is built
-    once per run.
+    once per run. A stretch is one ``%`` format of its rows' ticks, seconds
+    and tails.
     """
     tpp = result.clock.ticks_per_period
     scale = TWO_PI / tpp
     header = ["tick", "seconds", "arc_rad"] + [f"phase_rad_{i}" for i in result.legit_ids]
     yield ",".join(header) + "\n"
-    last = rel = None
-    for t, offsets in result.rows():
-        if offsets is not last:  # rel and the first offset change only at instants
-            last, first = offsets, offsets[0]
-            new_rel = tuple([o - first for o in offsets])
-            if new_rel != rel:
-                rel, tails = new_rel, {}
-                arc = _fmt9(containing_arc_ticks(rel, tpp) * scale)
-                distinct = tuple(set(rel))
-                slots = [distinct.index(r) for r in rel]
-        phase = first + t
-        tail = tails.get(phase)
-        if tail is None:  # r + phase is o + t: each cell is printed from a phase in ticks
-            cells = [f"{(r + phase) * scale:.9g}" for r in distinct]
-            tail = tails[phase] = f"{arc},{','.join([cells[s] for s in slots])}\n"
-        yield f"{t},{t * scale:.9g},{tail}"
+    rel = None
+    for ticks, offsets in result.segments():
+        first = offsets[0]
+        new_rel = tuple([o - first for o in offsets])
+        if new_rel != rel:
+            rel, tails = new_rel, {}
+            arc = _fmt9(containing_arc_ticks(rel, tpp) * scale)
+            distinct = tuple(set(rel))
+            slots = [distinct.index(r) for r in rel]
+
+            def tail(phase):  # r + phase is o + t: each cell is printed from a phase in ticks
+                cells = [f"{(r + phase) * scale:.9g}" for r in distinct]
+                text = tails[phase] = f"{arc},{','.join([cells[s] for s in slots])}\n"
+                return text
+
+        fields = ticks * 3
+        fields[0::3], fields[1::3] = ticks, [t * scale for t in ticks]
+        fields[2::3] = [tails.get(first + t) or tail(first + t) for t in ticks]
+        yield "%d,%.9g,%s" * len(ticks) % tuple(fields)
 
 
 def write_run_outputs(artifacts, out_dir: Path) -> None:
     """events.jsonl, phases.csv and summary.json of one completed run, in the existing out_dir."""
     for name, lines in (("events.jsonl", _event_lines), ("phases.csv", _phase_lines)):
-        with open(out_dir / name, "w", encoding="utf-8") as fh:
+        with open(out_dir / name, "w", encoding="utf-8", newline="\n") as fh:
             for chunk in lines(artifacts.result):
                 fh.write(chunk)
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
+    with open(out_dir / "summary.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(artifacts.summary, fh, indent=2)
         fh.write("\n")
 
@@ -188,7 +211,7 @@ def cmd_sweep(args) -> int:
         files += [(f"run_{s['seed']}.json", s) for s in summaries]
     try:
         for name, doc in files:
-            with open(out_dir / name, "w", encoding="utf-8") as fh:
+            with open(out_dir / name, "w", encoding="utf-8", newline="\n") as fh:
                 json.dump(doc, fh, indent=2)
                 fh.write("\n")
     except OSError as exc:

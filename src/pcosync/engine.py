@@ -157,25 +157,34 @@ class SimulationResult:
     def records(self) -> list:
         return list(self.iter_records())
 
-    def rows(self):
-        """(tick, offsets) per snapshot row: every instant, every 1/100 period, the horizon.
+    def segments(self):
+        """(ticks, offsets) per stretch of snapshot rows that share their offsets.
 
-        Between instants all phases advance alike, so cadence rows repeat the last offsets.
+        A row falls at every instant, every 1/100 period and the horizon. Between
+        instants all phases advance alike, so a stretch is an instant's row and the
+        cadence rows after it (before the first instant, the cadence rows alone).
         """
         cadence = max(1, self.clock.ticks_per_period // 100)
         offsets = self.initial_offsets
+        ticks = []
         t = -1
         due = 0  # next cadence tick without a row
         for t, new, _ in self.instants:
-            for row in range(due, t, cadence):
-                yield row, offsets
-            offsets = new
-            yield t, offsets
+            ticks += range(due, t, cadence)
+            if ticks:
+                yield ticks, offsets
+            ticks, offsets = [t], new
             due = (t // cadence + 1) * cadence
         if t < self.horizon:
-            for row in range(due, self.horizon, cadence):
-                yield row, offsets
-            yield self.horizon, offsets
+            ticks += range(due, self.horizon, cadence)
+            ticks.append(self.horizon)
+        yield ticks, offsets
+
+    def rows(self):
+        """(tick, offsets) per snapshot row, the flattened :meth:`segments`."""
+        for ticks, offsets in self.segments():
+            for t in ticks:
+                yield t, offsets
 
     @property
     def snapshots(self) -> list:

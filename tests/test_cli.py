@@ -260,23 +260,46 @@ def test_run_files_are_dumps_of_the_derived_views(tmp_path, name, horizon):
     assert_run_files_are_dumps(run_scenario(parse_scenario(data)), tmp_path)
 
 
-def hand_built_run(initial, instants, horizon):
+@pytest.mark.parametrize("seed", [1, 2])
+def test_long_run_files_are_dumps_of_the_derived_views(tmp_path, seed):
+    """The 200-period input of the benchmark's long_run: most instants are copies made by
+    the steady-state repeat, and seq runs past 10^4."""
+    data = json.loads((CONFIG_DIR / "circle24_quorum_n_attacked.json").read_text())
+    data.update(seed=seed, horizon_ticks=200 * data["clock"]["ticks_per_period"])
+    artifacts = run_scenario(parse_scenario(data))
+    events = [e for _, _, e in artifacts.result.instants if e]
+    assert len({id(e) for e in events}) < len(events) / 2  # copies share their events list
+    assert_run_files_are_dumps(artifacts, tmp_path)
+
+
+def hand_built_run(initial, instants, horizon, ticks_per_period=1_000):
     """A completed run of ``len(initial)`` legitimate oscillators on a complete graph.
 
-    ``instants`` holds (tick, offsets after it); each fires oscillator 0.
-    At 1,000 ticks per period a cadence row falls every 10 ticks.
+    ``instants`` holds (tick, offsets after it), each firing oscillator 0, or
+    (tick, offsets after it, the oscillators it fires). At 1,000 ticks per
+    period a cadence row falls every 10 ticks; below 100 ticks, every tick.
     """
     n = len(initial)
     result = SimulationResult(
-        clock=TickClock(1_000, 10), legit_ids=tuple(range(n)), attacker_ids=(),
+        clock=TickClock(ticks_per_period, 10), legit_ids=tuple(range(n)), attacker_ids=(),
         adjacency=tuple(tuple(j for j in range(n) if j != i) for i in range(n)),
         horizon=horizon, initial_offsets=initial, final_offsets=instants[-1][1],
-        instants=[Instant(t, offsets, ((FIRED, 0),)) for t, offsets in instants])
+        instants=[Instant(t, offsets, tuple((FIRED, i) for i in (fired[0] if fired else (0,))))
+                  for t, offsets, *fired in instants])
     return SimpleNamespace(result=result, summary={})
+
+
+def seq_blocks_run(n, fired_per_instant):
+    """``n`` oscillators kept at phase 0; the instant at tick 100k fires the k-th tuple of
+    oscillators, each to n - 1 receivers, so its deliveries take the next seqs in blocks."""
+    instants = [(100 * k, (-100 * k,) * n, fired) for k, fired in enumerate(fired_per_instant, 1)]
+    return hand_built_run((0,) * n, instants, 100 * len(fired_per_instant) + 50)
 
 
 # Tails are built once per first phase `offsets[0] + t` and dropped when the offsets
 # relative to the first one change; each case writes a row that a stale tail would spoil.
+# A seq is written as its hundreds and its last two digits; the seq-* cases put block
+# ends on either side of each place where that split changes.
 HAND_BUILT_RUNS = {
     # rows 20 and 30 both have first phase 120, under different relative offsets
     "relative-offsets-change-at-one-first-phase": hand_built_run(
@@ -292,6 +315,15 @@ HAND_BUILT_RUNS = {
         (300,), [(700, (-700,)), (1300, (-800,)), (1800, (-1800,))], 2_500),
     "horizon-off-the-cadence": hand_built_run(
         (100, 300, 400), [(25, (90, 600, 700)), (400, (-400, -400, -400))], 1_234),
+    # 250 receivers: the first block is seqs 1-250, the second 251-500 crosses 4 hundreds
+    "seq-block-spans-several-hundreds": seq_blocks_run(251, [(0,), (0, 1)]),
+    "seq-blocks-end-at-99": seq_blocks_run(34, [(0, 1, 2), (3,)]),  # 1-99, then 100-132
+    "seq-blocks-end-at-100": seq_blocks_run(51, [(0,), (1, 2)]),  # 1-50, 51-100, 101-150
+    "seq-blocks-end-at-999": seq_blocks_run(38, [tuple(range(27)), (0,)]),  # ..., 1000-1036
+    "seq-blocks-end-at-1000": seq_blocks_run(41, [tuple(range(25)), (0, 1)]),  # ..., 1001-1080
+    # below 100 ticks per period a cadence row falls every tick
+    "cadence-of-one-tick": hand_built_run(
+        (10, 30, 40), [(20, (-20, 5, 25)), (35, (-35, -35, -35))], 70, ticks_per_period=50),
 }
 
 
@@ -369,6 +401,25 @@ def test_outputs_need_only_write(tmp_path, capsys, monkeypatch):
     for f in ("run/events.jsonl", "run/phases.csv", "run/summary.json",
               "sweep/aggregate.json", "sweep/run_1.json", "sweep/run_2.json"):
         assert (tmp_path / f).stat().st_size > 0, f
+
+
+def test_outputs_keep_their_newlines_where_the_platform_translates_them(
+        tmp_path, capsys, monkeypatch):
+    # an `open` whose default newline is "\r\n", as on Windows: the outputs must not take it
+    def crlf_open(file, mode="r", *args, newline=None, **kwargs):
+        return open(file, mode, *args, newline="\r\n" if newline is None else newline, **kwargs)
+
+    monkeypatch.setattr(cli, "open", crlf_open, raising=False)
+    cfg = write_config(tmp_path, small_scenario())
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "run")]) == 0
+    sweep = {"base": small_scenario(), "runs": 2, "seed_base": 1, "write_run_summaries": True}
+    assert main(["sweep", "--config", write_config(tmp_path, sweep, "sweep.json"),
+                 "--out-dir", str(tmp_path / "sweep")]) == 0
+    capsys.readouterr()
+    for f in ("run/events.jsonl", "run/phases.csv", "run/summary.json",
+              "sweep/aggregate.json", "sweep/run_1.json", "sweep/run_2.json"):
+        data = (tmp_path / f).read_bytes()
+        assert data.endswith(b"\n") and b"\r" not in data, f
 
 
 def test_topology_text_json_csv(tmp_path, capsys):
