@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .core import TWO_PI, ConfigError
@@ -31,7 +32,9 @@ EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
 
-def _load_json(path: str) -> dict:
+def _config(args, *fields) -> dict:
+    """The JSON object in ``--config``; each named field its flag gave takes the flag's value."""
+    path = args.config
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -41,18 +44,34 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"{path} cannot be parsed: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path} must hold a JSON object")
+    data.update({f: getattr(args, f) for f in fields if getattr(args, f) is not None})
     return data
+
+
+@contextmanager
+def _writing(out_dir: Path):
+    """Any failure to write into out_dir becomes one ``cannot write`` error line."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_dir}: {exc}") from None
 
 
 def _out_dir(path: str) -> Path:
     """The output directory, created before anything runs, so a path that
     cannot take the outputs fails at once, with one error line."""
     out_dir = Path(path)
-    try:
+    with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from None
     return out_dir
+
+
+def _write(out_dir: Path, name: str, chunks) -> None:
+    """One output file, chunk by chunk through ``fh.write`` alone, with ``\\n`` line ends on
+    every platform; a JSON document is passed as ``(json.dumps(doc, indent=2), "\\n")``."""
+    with _writing(out_dir), open(out_dir / name, "w", encoding="utf-8", newline="\n") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def _fmt9(x: float) -> str:
@@ -60,7 +79,7 @@ def _fmt9(x: float) -> str:
 
 
 def cmd_validate(args) -> int:
-    config = parse_scenario(_load_json(args.config))
+    config = parse_scenario(_config(args))
     build_simulation(config)  # rejects what `run` rejects, such as an attack that cannot be scheduled
     report = conditions_for(config)
     print(f"mechanism: {config.mechanism_desc['kind']}")
@@ -161,29 +180,18 @@ def _phase_lines(result):
 
 
 def write_run_outputs(artifacts, out_dir: Path) -> None:
-    """events.jsonl, phases.csv and summary.json of one completed run, in the existing out_dir."""
-    for name, lines in (("events.jsonl", _event_lines), ("phases.csv", _phase_lines)):
-        with open(out_dir / name, "w", encoding="utf-8", newline="\n") as fh:
-            for chunk in lines(artifacts.result):
-                fh.write(chunk)
-    with open(out_dir / "summary.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(artifacts.summary, fh, indent=2)
-        fh.write("\n")
+    """events.jsonl, phases.csv and summary.json of one completed run, in the existing
+    out_dir; a file that cannot be written raises ``ConfigError``."""
+    _write(out_dir, "events.jsonl", _event_lines(artifacts.result))
+    _write(out_dir, "phases.csv", _phase_lines(artifacts.result))
+    _write(out_dir, "summary.json", (json.dumps(artifacts.summary, indent=2), "\n"))
 
 
 def cmd_run(args) -> int:
-    data = _load_json(args.config)
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.horizon is not None:
-        data["horizon_ticks"] = args.horizon
-    config = parse_scenario(data)
+    config = parse_scenario(_config(args, "seed", "horizon_ticks"))
     out_dir = _out_dir(args.out_dir)
     artifacts = run_scenario(config)
-    try:
-        write_run_outputs(artifacts, out_dir)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {out_dir}: {exc}") from None
+    write_run_outputs(artifacts, out_dir)
     s = artifacts.summary
     if s["sync_tick"] is None:
         print(f"seed {s['seed']}: no synchronization within {s['horizon_ticks']} ticks "
@@ -196,26 +204,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    data = _load_json(args.config)
-    if args.runs is not None:
-        data["runs"] = args.runs
-    if args.workers is not None:
-        data["workers"] = args.workers
-    if args.seed is not None:
-        data["seed_base"] = args.seed
-    sweep = parse_sweep(data)
+    sweep = parse_sweep(_config(args, "runs", "workers", "seed_base"))
     out_dir = _out_dir(args.out_dir)
     aggregate, summaries = run_sweep(sweep)
     files = [("aggregate.json", aggregate)]
     if sweep.write_run_summaries:
         files += [(f"run_{s['seed']}.json", s) for s in summaries]
-    try:
-        for name, doc in files:
-            with open(out_dir / name, "w", encoding="utf-8", newline="\n") as fh:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {out_dir}: {exc}") from None
+    for name, doc in files:
+        _write(out_dir, name, (json.dumps(doc, indent=2), "\n"))
     print(f"{aggregate['synced_runs']}/{aggregate['runs']} runs synchronized")
     if aggregate["counterexample_seeds"]:
         print(f"counterexample seeds: {aggregate['counterexample_seeds']}")
@@ -224,7 +220,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_topology(args) -> int:
-    data = _load_json(args.config)
+    data = _config(args)
     desc = data.get("topology", data)  # accept a bare topology document too
     topo, _ = load_topology(desc)
     if args.format == "json":
@@ -268,13 +264,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in (p_validate, p_run, p_sweep, p_topology):
         p.add_argument("--config", required=True, help="path to the JSON configuration")
-    # validate takes neither: its verdict depends only on topology, mechanism and attackers
+    # validate takes neither: its verdict depends only on topology, mechanism and attackers.
+    # An override's dest is the config field it sets (_config)
     p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    p_run.add_argument("--horizon", type=int, default=None, metavar="TICKS",
+    p_run.add_argument("--horizon", dest="horizon_ticks", type=int, default=None, metavar="TICKS",
                        help="override the simulation horizon")
     p_run.add_argument("--out-dir", default="out", help="output directory (default: out)")
     p_sweep.add_argument("--out-dir", default="out", help="output directory (default: out)")
-    p_sweep.add_argument("--seed", type=int, default=None, help="override the sweep seed base")
+    p_sweep.add_argument("--seed", dest="seed_base", type=int, default=None, metavar="SEED",
+                         help="override the sweep seed base")
     p_sweep.add_argument("--runs", type=int, default=None, help="override the run count")
     p_sweep.add_argument("--workers", type=int, default=None, help="override worker count")
     p_topology.add_argument("--format", choices=("text", "json", "csv"), default="text")

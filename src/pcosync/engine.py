@@ -180,15 +180,10 @@ class SimulationResult:
             ticks.append(self.horizon)
         yield ticks, offsets
 
-    def rows(self):
-        """(tick, offsets) per snapshot row, the flattened :meth:`segments`."""
-        for ticks, offsets in self.segments():
-            for t in ticks:
-                yield t, offsets
-
     @property
     def snapshots(self) -> list:
-        return [PhaseSnapshot(t, tuple(o + t for o in offsets)) for t, offsets in self.rows()]
+        return [PhaseSnapshot(t, tuple(o + t for o in offsets))
+                for ticks, offsets in self.segments() for t in ticks]
 
 
 class Simulation:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field, replace
 from random import Random
 
@@ -24,6 +25,7 @@ from .topology import Topology
 
 DEFAULT_HORIZON_PERIODS = 20
 MAX_HORIZON_PERIODS = 1000  # output grows with the horizon: ~57 MB for circle24 at the cap
+MAX_RUNS = 100_000  # a sweep keeps every run's summary, ~4.2 KiB each: ~420 MiB at the cap
 
 PHASE_SEED_SCOPE = "phases"
 
@@ -226,7 +228,7 @@ def parse_sweep(data: dict) -> SweepConfig:
     read_fields(data, "sweep", {"base", "runs", "seed_base", "workers", "write_run_summaries"})
     require_fields(data, "sweep", ["base"])
     base = parse_scenario(data["base"])
-    runs = read_int(data.get("runs", 1), "runs", least=1)
+    runs = read_int(data.get("runs", 1), "runs", least=1, most=MAX_RUNS)
     seed_base = read_int(data.get("seed_base", base.seed), "seed_base", least=0)
     workers = read_int(data.get("workers", 1), "workers", least=1)
     write_summaries = data.get("write_run_summaries", False)
@@ -252,7 +254,9 @@ def run_sweep(sweep: SweepConfig) -> tuple[dict, list[dict]]:
     """
     seeds = [sweep.seed_base + k for k in range(sweep.runs)]
     base = sweep.base
-    workers = min(sweep.workers, len(seeds))  # a pool starts every worker it may use
+    # a pool starts every worker it may use at its first task, and workers
+    # beyond the CPU count only compete for the CPUs
+    workers = min(sweep.workers, len(seeds), os.cpu_count() or 1)
     if workers == 1:
         summaries = [_sweep_worker(base, s) for s in seeds]
     else:

@@ -75,11 +75,19 @@ def test_scripted_passthrough_and_boundary():
     ({"kind": "stealthy", "horizon_ticks": 100}, "unknown attack kind 'stealthy'"),
     ({"kind": "random_budget", "total_pulses": -1, "horizon_ticks": 100}, "total_pulses"),
     ({"kind": "random_budget", "total_pulses": 5, "horizon_ticks": -1}, "horizon_ticks"),
+    ({"kind": "scripted", "ticks": {"2": [5]}}, "scripted ticks reference a non-attacker id"),
 ])
 def test_read_attack_rejects(section, fragment):
     with pytest.raises(ConfigError) as err:
         read_attack(section, (1,))
     assert fragment in str(err.value)
+
+
+def test_random_budget_without_attackers():
+    # only a budget of zero pulses has no one to send it
+    assert schedules_of((), kind="random_budget", total_pulses=0, horizon_ticks=100) == []
+    with pytest.raises(ConfigError, match="^random_budget with pulses but no attackers$"):
+        schedules_of((), kind="random_budget", total_pulses=1, horizon_ticks=100)
 
 
 def test_jsonable_round_trip():

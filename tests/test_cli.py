@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,7 +13,13 @@ from pcosync.cli import main, write_run_outputs
 from pcosync.core import MAX_TICKS_PER_PERIOD, TickClock
 from pcosync.engine import FIRED, Instant, SimulationResult
 from pcosync.mechanisms import check_sync_conditions
-from pcosync.scenario import MAX_HORIZON_PERIODS, parse_scenario, parse_sweep, run_scenario
+from pcosync.scenario import (
+    MAX_HORIZON_PERIODS,
+    MAX_RUNS,
+    parse_scenario,
+    parse_sweep,
+    run_scenario,
+)
 from pcosync.topology import MAX_CIRCLE_NODES
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -97,6 +104,44 @@ def test_validate_outputs_are_pinned(capsys):
         assert main(["validate", "--config", str(CONFIG_DIR / name)]) == code, name
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (out, ""), name
+
+
+def test_missing_config_gets_one_error_line(tmp_path, capsys):
+    path = tmp_path / "absent.json"
+    assert main(["validate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot read {path}: "), err
+
+
+def test_help_exits_zero(capsys):
+    # only argparse's usage error (exit 2) becomes exit 1; --help keeps its exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: pcosync ")
+
+
+class JumpsOutOfTheCycle:
+    """Fires at every top-reach and answers every pulse with a jump to phase -1."""
+
+    def fires(self, state, now):
+        return True
+
+    def on_reach_top(self, state, now):
+        return "zero"
+
+    def on_pulse(self, state, now):
+        return SimpleNamespace(kind="jump", jump_to=-1)
+
+
+def test_broken_mechanism_is_a_runtime_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("pcosync.mechanisms.build_mechanism",
+                        lambda desc, clock, degree: JumpsOutOfTheCycle())
+    code = main(["run", "--config", write_config(tmp_path, small_scenario()),
+                 "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 3
+    assert len(err) == 1 and err[0].startswith("runtime error: oscillator "), err
 
 
 def test_bad_json_exits_one(tmp_path, capsys):
@@ -190,7 +235,8 @@ def test_run_horizon_override(tmp_path, capsys):
     assert last_row.startswith("2000000,")
 
 
-def test_sweep_workers_do_not_change_aggregate(tmp_path, capsys):
+def test_sweep_workers_do_not_change_aggregate(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool of 2, even on one CPU
     sweep = {"base": small_scenario(), "runs": 5, "seed_base": 50, "workers": 1}
     out_a = tmp_path / "w1"
     out_b = tmp_path / "w2"
@@ -214,6 +260,47 @@ def test_sweep_run_summaries_written_on_request(tmp_path, capsys):
                  "--out-dir", str(out), "--runs", "2"]) == 0
     capsys.readouterr()
     assert sorted(p.name for p in out.glob("run_*.json")) == ["run_7.json", "run_8.json"]
+
+
+def test_sweep_flags_set_their_fields(tmp_path, capsys, monkeypatch):
+    # --seed sets seed_base, and --workers 1 keeps the sweep out of any pool
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    sweep = {"base": small_scenario(), "runs": 2, "seed_base": 7, "workers": 2}
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", write_config(tmp_path, sweep), "--out-dir", str(out),
+                 "--seed", "40", "--workers", "1"]) == 0
+    capsys.readouterr()
+    assert json.loads((out / "aggregate.json").read_text())["seed_base"] == 40
+
+
+def test_sweep_prints_its_counterexample_seeds(tmp_path, capsys):
+    # half a period is too short for any run to synchronize
+    sweep = {"base": small_scenario(horizon=500_000), "runs": 2, "seed_base": 5}
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", write_config(tmp_path, sweep), "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().out == (f"0/2 runs synchronized\n"
+                                       f"counterexample seeds: [5, 6]\n"
+                                       f"aggregate written to {out / 'aggregate.json'}\n")
+
+
+@pytest.mark.parametrize("runs,flag", [
+    (MAX_RUNS + 1, []),
+    (2, ["--runs", str(MAX_RUNS + 1)]),
+], ids=["config", "flag"])
+def test_sweep_runs_over_the_cap_gets_one_error_line(tmp_path, capsys, runs, flag):
+    # rejected as the config is parsed: no run starts
+    sweep = {"base": small_scenario(), "runs": runs}
+    code = main(["sweep", "--config", write_config(tmp_path, sweep),
+                 "--out-dir", str(tmp_path / "out"), *flag])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert err == [f"error: runs must be at most {MAX_RUNS}, not {MAX_RUNS + 1}"]
 
 
 @pytest.mark.parametrize("command,out", [

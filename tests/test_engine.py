@@ -1,9 +1,10 @@
 import json
 import random
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -68,14 +69,13 @@ def records_of(result, kind, node=None):
 # -- receive_count -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("container", [list, deque])
-def test_receive_count_windows(container):
-    state = OscillatorState(offset=0, receive_log=container([100, 100, 150]))
+def test_receive_count_windows():
+    state = OscillatorState(offset=0, receive_log=[100, 100, 150])
     assert receive_count(state, 90) == 3
     assert receive_count(state, 100) == 1  # open left endpoint drops tick 100
     assert receive_count(state, 150) == 0
     assert receive_count(state, 99) == 3
-    assert receive_count(OscillatorState(offset=0, receive_log=container()), 0) == 0
+    assert receive_count(OscillatorState(offset=0), 0) == 0
 
 
 # -- small hand-traced scenarios ----------------------------------------------
@@ -490,14 +490,20 @@ def test_attacker_pulses_alone_never_shift_after_zero_reset():
 def test_simulation_input_validation():
     topo = from_adjacency([[1], [0]])
     mech = build_mechanism({"kind": KIND_QUORUM_N, "n_known": 2}, CLOCK, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^horizon must be positive$"):
         Simulation(CLOCK, topo, {0: mech}, {0: 0}, horizon=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^mechanisms must cover exactly"):
         Simulation(CLOCK, topo, {0: mech}, {0: 0, 1: 0}, horizon=TPP)  # mechanisms incomplete
+    with pytest.raises(ValueError, match="^attacker id outside the topology$"):
+        Simulation(CLOCK, topo, {0: mech}, {0: 0}, horizon=TPP, attacker_ids=(1, 2))
+    with pytest.raises(ValueError, match="^network has no legitimate oscillators$"):
+        Simulation(CLOCK, topo, {}, {}, horizon=TPP, attacker_ids=(0, 1))
+    with pytest.raises(ValueError, match="^initial phases must cover exactly"):
+        Simulation(CLOCK, topo, {0: mech, 1: mech}, {0: 0}, horizon=TPP)
     for phases in [{0: TPP + 1, 1: 0}, {0: 0.5, 1: True}]:
         with pytest.raises(ValueError, match="oscillator 0"):
             Simulation(CLOCK, topo, {0: mech, 1: mech}, phases, horizon=TPP)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^schedule present for a non-attacker id$"):
         Simulation(CLOCK, topo, {0: mech, 1: mech}, {0: 0, 1: 0}, horizon=TPP,
                    schedules={0: (5,)})  # schedule for a non-attacker
     # an attacker pulses at int ticks from 0 on, each more than eps after the last
@@ -547,6 +553,15 @@ def test_jump_outside_the_cycle_is_rejected(phase):
     mech = JumpingMechanism(phase)
     sim = Simulation(CLOCK, topo, {0: mech, 1: mech}, {0: TPP - 100, 1: 0}, horizon=3 * TPP)
     with pytest.raises(EngineError, match=f"oscillator 1 jumped to phase {phase},"):
+        sim.run()
+
+
+def test_unknown_pulse_action_is_rejected():
+    topo = from_adjacency([[1], [0]])
+    mech = JumpingMechanism(0)
+    mech.on_pulse = lambda state, now: SimpleNamespace(kind="bogus")
+    sim = Simulation(CLOCK, topo, {0: mech, 1: mech}, {0: TPP - 100, 1: 0}, horizon=3 * TPP)
+    with pytest.raises(EngineError, match="^mechanism returned unknown pulse action 'bogus'$"):
         sim.run()
 
 

@@ -1,6 +1,5 @@
 import math
 import random
-from collections import deque
 
 import pytest
 
@@ -29,7 +28,7 @@ def make_state(phase, pulses=(), last_fire=None, last_zero=None, now=0):
     # the state of an oscillator whose phase at tick `now` is `phase`
     return OscillatorState(
         offset=phase - now,
-        receive_log=deque(pulses),
+        receive_log=list(pulses),
         last_fire_tick=last_fire,
         last_reset_to_zero_tick=last_zero,
     )

@@ -10,6 +10,7 @@ import pytest
 from pcosync.cli import write_run_outputs
 from pcosync.core import MAX_TICKS_PER_PERIOD
 from pcosync.scenario import (
+    MAX_RUNS,
     ConfigError,
     canonical_dict,
     config_digest,
@@ -206,7 +207,8 @@ def test_run_replays_from_its_own_summary(tmp_path, data, seed):
         **summary, "config_digest": None}
 
 
-def test_sweep_parallelism_does_not_change_bytes():
+def test_sweep_parallelism_does_not_change_bytes(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool of 2, even on one CPU
     sweep_data = {"base": dict(BASE), "runs": 6, "seed_base": 100, "workers": 1}
     agg1, runs1 = run_sweep(parse_sweep(sweep_data))
     sweep_data["workers"] = 2
@@ -216,10 +218,11 @@ def test_sweep_parallelism_does_not_change_bytes():
     assert [s["seed"] for s in runs1] == list(range(100, 106))
 
 
-@pytest.mark.parametrize("runs,workers,pools", [(1, 500, []), (3, 500, [3]), (6, 2, [2])])
-def test_sweep_starts_no_more_workers_than_runs(monkeypatch, runs, workers, pools):
-    # a pool starts all its workers at the first task, so the count is capped
-    # by the run count; the stand-in pool records it and maps serially
+def assert_pools(monkeypatch, runs, workers, cpus, pools):
+    """A sweep starts pools of the sizes ``pools`` when ``os.cpu_count()`` gives ``cpus``.
+
+    The stand-in pool records its size and maps serially.
+    """
     import concurrent.futures
 
     started = []
@@ -238,11 +241,30 @@ def test_sweep_starts_no_more_workers_than_runs(monkeypatch, runs, workers, pool
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     sweep_data = {"base": dict(BASE), "runs": runs, "seed_base": 100, "workers": workers}
     aggregate, _ = run_sweep(parse_sweep(sweep_data))
     assert started == pools
     sweep_data["workers"] = 1
     assert aggregate == run_sweep(parse_sweep(sweep_data))[0]
+
+
+@pytest.mark.parametrize("runs,workers,pools", [(1, 500, []), (3, 500, [3]), (6, 2, [2])])
+def test_sweep_starts_no_more_workers_than_runs(monkeypatch, runs, workers, pools):
+    # a pool starts all its workers at the first task, so the count is capped
+    # by the run count
+    assert_pools(monkeypatch, runs, workers, 8, pools)
+
+
+@pytest.mark.parametrize("cpus,pools", [(4, [4]), (1, []), (None, [])])
+def test_sweep_starts_no_more_workers_than_cpus(monkeypatch, cpus, pools):
+    # and by the CPU count, which os.cpu_count() may not know (None): one CPU then
+    assert_pools(monkeypatch, 6, 500, cpus, pools)
+
+
+def test_parse_sweep_accepts_runs_at_the_cap():
+    # parsed only: a sweep near the cap would take minutes and hundreds of MiB
+    assert parse_sweep({"base": dict(BASE), "runs": MAX_RUNS}).runs == MAX_RUNS
 
 
 def test_sweep_aggregate_content():
@@ -262,6 +284,8 @@ def test_sweep_validation():
         parse_sweep({"runs": 3})
     with pytest.raises(ConfigError):
         parse_sweep({"base": dict(BASE), "runs": 0})
+    with pytest.raises(ConfigError, match=f"^runs must be at most {MAX_RUNS}, not "):
+        parse_sweep({"base": dict(BASE), "runs": MAX_RUNS + 1})
     with pytest.raises(ConfigError):
         parse_sweep({"base": dict(BASE), "runs": 2, "bogus": True})
     with pytest.raises(ConfigError):

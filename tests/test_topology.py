@@ -3,6 +3,7 @@ import math
 import pytest
 
 from oracles import is_strongly_connected
+from pcosync.core import ConfigError
 from pcosync.topology import build_circle_deployment, from_adjacency, load_topology
 
 
@@ -67,6 +68,8 @@ def test_load_topology():
         load_topology({"kind": "explicit", "adjacency": [[1], [0.5]]})  # float node index
     with pytest.raises(ValueError):
         load_topology({"kind": "explicit", "adjacency": [1, [0]]})  # row is not a list
+    with pytest.raises(ConfigError, match="^topology needs a nonempty list of adjacency rows$"):
+        load_topology({"kind": "explicit", "adjacency": []})
     with pytest.raises(ValueError):
         load_topology({"kind": "circle", "n": 24, "diameter": 40})  # missing range
     with pytest.raises(ValueError):
