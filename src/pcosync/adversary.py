@@ -141,9 +141,7 @@ def generate(description: dict, attacker_ids, clock: TickClock,
     rng.shuffle(draws)
     order = list(ids)
     rng.shuffle(order)
-    buckets: dict[int, list[int]] = {a: [] for a in ids}
-    for k, t in enumerate(draws):
-        buckets[order[k % len(order)]].append(t)
+    buckets = {a: draws[j::len(order)] for j, a in enumerate(order)}
     schedules = []
     for a in ids:
         ticks = _enforce_separation(buckets[a], eps, horizon, rng)

@@ -25,7 +25,8 @@ functions::
 The kernel calls ``fires`` once, the moment an oscillator's phase reaches the
 top of the cycle (so fire suppression applies mid-cascade), and
 ``on_reach_top`` once, after the instant has settled, when the full set of
-same-instant pulses is in the receive log. ``on_pulse`` sees the receive log
+same-instant pulses is in the receive log; any reset other than ``"zero"``
+or ``"pi"`` raises ``EngineError``. ``on_pulse`` sees the receive log
 pruned to the trailing half period, with the pulse being handled as its
 newest entry: every earlier entry arrived before that pulse. A mechanism
 reads its phase as ``state.offset + now``.
@@ -45,12 +46,11 @@ goes on as it did after the first instant with that key, shifted by the
 tick difference, so the log is filled to the horizon with shifted copies
 of the instants in between, which share their ``events`` lists.
 
-Every pulse to a legitimate
-oscillator is queued and added to its receive log when delivered; an
-oscillator parked at the top ignores pulses but still counts them. Once
-every legitimate oscillator is parked, as in each instant of a synchronized
-network, no decision can run and no new sender can appear, so the pulses
-still queued are only logged.
+Every pulse to a legitimate oscillator takes one path: it is queued, and
+when delivered it is added to the receiver's log, which is then pruned to
+the trailing half period; an oscillator parked at the top ignores pulses
+but still counts them. So every log that took a pulse at ``now`` holds only
+``[now - half, now]`` when ``on_reach_top`` reads it.
 
 ``Simulation`` is the one check of an attack schedule: the channel lets an
 attacker pulse at int ticks from 0 on, each more than ``epsilon_ticks``
@@ -102,7 +102,7 @@ Instant = namedtuple("Instant", "tick offsets events")
 
 class EngineError(Exception):
     """A mechanism broke the kernel's contract: it returned an unknown pulse
-    action or jumped to a phase outside [0, ticks_per_period]."""
+    action or reset, or jumped to a phase outside [0, ticks_per_period]."""
 
 
 @dataclass
@@ -244,9 +244,13 @@ class Simulation:
 
     def run(self) -> SimulationResult:
         tpp = self.clock.ticks_per_period
-        states = {i: OscillatorState(offset=self.initial_phases[i]) for i in self.legit_ids}
+        # per-node state and mechanism, indexed by node id (None for attackers)
+        states = [None] * self.topology.n
+        mechanisms = [None] * self.topology.n
         queue: list[tuple[int, int, int]] = []  # (tick, prio, node)
         for i in self.legit_ids:
+            states[i] = OscillatorState(offset=self.initial_phases[i])
+            mechanisms[i] = self.mechanisms[i]
             queue.append((tpp - states[i].offset, _PRIO_WRAP, i))
         for a, ticks in self.schedules.items():
             queue.extend((t, _PRIO_ATTACK, a) for t in ticks if t <= self.horizon)
@@ -254,8 +258,9 @@ class Simulation:
 
         initial = tuple(self.initial_phases[i] for i in self.legit_ids)
         self._states = states
+        self._mechanisms = mechanisms
         # each sender's legitimate out-neighbours: attackers ignore pulses
-        self._targets = [[r for r in out if r in states] for out in self.topology.adjacency]
+        self._targets = [[r for r in out if states[r]] for out in self.topology.adjacency]
         self._legit_states = [states[i] for i in self.legit_ids]
         self._queue = queue
         self._log = []
@@ -337,7 +342,7 @@ class Simulation:
         queue = self._queue
         states = self._states
         targets = self._targets
-        mechanisms = self.mechanisms
+        mechanisms = self._mechanisms
         tpp = self.clock.ticks_per_period
         pending: list[int] = []  # receivers in emission order
         at_top: set[int] = set()
@@ -366,22 +371,20 @@ class Simulation:
             elif states[node].offset + t == tpp and node not in at_top:
                 park(node)
 
-        # 2) deliver queued pulses in emission order; every pulse is logged, and
-        # an oscillator parked at the top only counts it. Shifts park, a fire
-        # queues its pulses inside park, and a list iterator also visits them.
-        # Once every oscillator is parked no pulse can be handled or sent: the
-        # loop stops (or never starts) and the same iterator logs the rest
+        # 2) deliver queued pulses in emission order: every pulse is logged and
+        # the log pruned to the trailing half period, and an oscillator parked
+        # at the top only counts it. Shifts park, a fire queues its pulses
+        # inside park, and the list iterator also visits them
         half = tpp // 2
         cutoff = t - half
-        left = iter(pending)
-        for r in left if len(at_top) < len(states) else ():
+        for r in pending:
             st = states[r]
             log = st.receive_log
             log.append(t)
-            if r in at_top:
-                continue
             if log[0] < cutoff:
                 del log[:bisect_left(log, cutoff)]
+            if r in at_top:
+                continue
             action = mechanisms[r].on_pulse(st, t)
             kind = action.kind
             if kind == "ignore":
@@ -402,26 +405,21 @@ class Simulation:
             else:
                 raise EngineError(f"mechanism returned unknown pulse action {kind!r}")
             park(r)
-            if len(at_top) == len(states):
-                break
-        for r in left:
-            states[r].receive_log.append(t)
 
-        # 3) instant settled: oscillators parked at the top pick their reset;
-        # logs that took pulses this instant are pruned to the trailing half period
+        # 3) instant settled: oscillators parked at the top pick their reset
         for i in sorted(at_top):
             st = states[i]
-            log = st.receive_log
-            if log and log[-1] == t and log[0] < cutoff:
-                del log[:bisect_left(log, cutoff)]
-            if mechanisms[i].on_reach_top(st, t) == "zero":
+            reset = mechanisms[i].on_reach_top(st, t)
+            if reset == "zero":
                 st.offset = -t
                 st.last_reset_to_zero_tick = t
                 events.append((RESET_TO_ZERO, i))
-            else:
+            elif reset == "pi":
                 st.offset = half - t
                 events.append((RESET_TO_PI, i))
+            else:
+                raise EngineError(f"mechanism returned unknown reset {reset!r}")
             heapq.heappush(queue, (tpp - st.offset, _PRIO_WRAP, i))
 
         self._log.append(Instant(t, tuple([st.offset for st in self._legit_states]), events))
-        return len(at_top) == len(states)
+        return len(at_top) == len(self._legit_states)

@@ -20,7 +20,7 @@ from random import Random
 from . import adversary, mechanisms, topology as topo_mod
 from .core import ConfigError, TickClock, read_fields, read_int, require_fields
 from .engine import Simulation, SimulationResult
-from .metrics import summarize_run
+from .metrics import _round9, summarize_run
 from .topology import Topology
 
 DEFAULT_HORIZON_PERIODS = 20
@@ -281,7 +281,7 @@ def run_sweep(sweep: SweepConfig) -> tuple[dict, list[dict]]:
         "sync_tick_min": sync_ticks[0] if sync_ticks else None,
         "sync_tick_median": sync_ticks[(len(sync_ticks) - 1) // 2] if sync_ticks else None,
         "sync_tick_max": sync_ticks[-1] if sync_ticks else None,
-        "max_sync_periods": float(f"{sync_ticks[-1] / tpp:.9g}") if sync_ticks else None,
+        "max_sync_periods": _round9(sync_ticks[-1] / tpp) if sync_ticks else None,
         "periods_exact_runs": sum(1 for s in synced if s["periods_exact"]),
         "counterexample_seeds": [s["seed"] for s in summaries if s["sync_tick"] is None],
     }

@@ -233,7 +233,7 @@ def test_received_seq_strictly_increasing():
 def test_receive_logs_pruned_to_half_period():
     sim = flagship_sim()
     sim.run()
-    for state in sim._states.values():
+    for state in sim._legit_states:
         if state.receive_log:
             newest = state.receive_log[-1]
             assert state.receive_log[0] >= newest - HALF
@@ -256,15 +256,19 @@ def assert_receive_logs_hold_trailing_half_period(sim):
 
 
 class ContractCheckingMechanism:
-    """Delegates to a mechanism, asserts the receive log at every ``on_pulse`` call
-    and records (node, now, pulses logged at now) at every ``on_reach_top`` call."""
+    """Delegates to a mechanism, asserts the receive log at every ``on_pulse`` and
+    ``on_reach_top`` call and records (node, now, pulses logged at now) at every
+    ``on_reach_top`` call."""
 
     def __init__(self, inner, node, half, calls, tops):
         self.inner, self.node, self.half, self.calls, self.tops = inner, node, half, calls, tops
         self.fires = inner.fires
 
     def on_reach_top(self, state, now):
-        self.tops.append((self.node, now, state.receive_log.count(now)))
+        log = state.receive_log
+        if log and log[-1] == now:
+            assert log[0] >= now - self.half  # pruned when the pulse at now was delivered
+        self.tops.append((self.node, now, log.count(now)))
         return self.inner.on_reach_top(state, now)
 
     def on_pulse(self, state, now):
@@ -320,7 +324,7 @@ def test_receive_log_holds_the_trailing_half_period_of_deliveries(make_sim):
     assert calls and tops
 
 
-# -- the delivery loop once every oscillator is parked --------------------------
+# -- deliveries to parked oscillators -------------------------------------------
 # K4: oscillators 0-2 start at phase 0 and reach the top together at TPP
 
 
@@ -383,8 +387,8 @@ class LogSnapshotMechanism:
 @pytest.mark.parametrize("site", ["on_pulse", "on_reach_top"])
 def test_prune_keeps_the_pulse_exactly_half_a_period_back(site):
     # at t the log holds pulses at t - half - 1, which the prune drops, and at
-    # t - half, which it keeps: pruned before on_pulse, or after the instant
-    # settles when the oscillator reaches the top at t
+    # t - half, which it keeps: the delivery at t prunes the log, which on_pulse
+    # then sees, or on_reach_top once the oscillator has reached the top at t
     s = 1000
     t = s + 1 + HALF
     topo = from_adjacency([[1, 2], [0], [0]])
@@ -565,6 +569,17 @@ def test_unknown_pulse_action_is_rejected():
         sim.run()
 
 
+@pytest.mark.parametrize("reset", [None, "ZERO"])
+def test_unknown_reset_is_rejected(reset):
+    # on_reach_top must answer "zero" or "pi"; nothing falls back to a reset to pi
+    topo = from_adjacency([[1], [0]])
+    mech = JumpingMechanism(0)
+    mech.on_reach_top = lambda state, now: reset
+    sim = Simulation(CLOCK, topo, {0: mech, 1: mech}, {0: TPP - 100, 1: 0}, horizon=3 * TPP)
+    with pytest.raises(EngineError, match=f"^mechanism returned unknown reset {reset!r}$"):
+        sim.run()
+
+
 # -- steady-state repeat -----------------------------------------------------------
 
 
@@ -635,6 +650,14 @@ def test_resolved_instants_do_not_grow_with_the_horizon(monkeypatch):
         shipped_sim("circle24_quorum_n_attacked.json", 1, horizon=periods * TPP).run()
         counts.append(resolved[0])
     assert counts[0] == counts[1] < 100
+
+
+def test_run_resolves_the_same_instants_up_to_a_shorter_horizon():
+    # a 200-period run is the first 200 periods of a run at the 1,000-period cap
+    short = shipped_sim("circle24_quorum_n_attacked.json", 1, horizon=200 * TPP).run()
+    full = shipped_sim("circle24_quorum_n_attacked.json", 1, horizon=1000 * TPP).run()
+    assert short.instants == [i for i in full.instants if i.tick <= 200 * TPP]
+    assert len(short.instants) < len(full.instants)
 
 
 def test_instants_keyed_only_after_the_attack_and_the_first_period(monkeypatch):
