@@ -36,15 +36,15 @@ The mechanism contract: a decision reads ``now`` only through
 ``state``, and through ``now >= ticks_per_period``; it reads the receive
 log only within the trailing half period; and a mechanism object holds no
 run state. So from the first period on, moving ``now`` and every tick in
-the state by the same amount changes no decision. Once no attacker pulse
-is left, the run is then time-invariant, and ``run`` repeats a steady
-state instead of resolving it: at each instant in which every legitimate
-oscillator was parked, from the later of the last attack pulse and the
-first period, while two periods remain before the horizon, it keys the
-state relative to the tick (``_state_key``). When a key repeats, the run
-goes on as it did after the first instant with that key, shifted by the
-tick difference, so the log is filled to the horizon with shifted copies
-of the instants in between, which share their ``events`` lists.
+the state by the same amount changes no decision.
+
+A mechanism may also certify synchrony: ``keeps_joint_reset(legit_in,
+attack_in)`` says whether a receiver with these in-neighbour counts keeps a
+joint reset (every legitimate oscillator resets to zero at one instant).
+``run`` finds the tick from which one is final (``_final_from``) and, at the
+first joint reset from then on, fills the log to the horizon in closed form
+(``_fill_synchronized``). Unless every mechanism has that method, a run is
+simulated to the horizon.
 
 Every pulse to a legitimate oscillator takes one path: it is queued, and
 when delivered it is added to the receiver's log, which is then pruned to
@@ -64,7 +64,7 @@ sum(outdegree) <= n(n-1) deliveries.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -266,20 +266,12 @@ class Simulation:
         self._log = []
 
         horizon = self.horizon
-        # an instant is keyed once no attacker pulse is left and the first
-        # period is over, while two periods remain before the horizon
-        quiet = max([t for ticks in self.schedules.values() for t in ticks if t <= horizon]
-                    + [tpp])
-        last_keyed = horizon - 2 * tpp
-        keyed: dict = {}  # state key -> log length after the instant that took it
+        final_from = self._final_from()
         while queue and queue[0][0] <= horizon:
             t = queue[0][0]
-            if self._resolve_instant(t) and quiet <= t <= last_keyed:
-                key = self._state_key(t)
-                if key in keyed:
-                    self._repeat(keyed[key], horizon)
-                    break
-                keyed[key] = len(self._log)
+            if self._resolve_instant(t) and t >= final_from:
+                self._fill_synchronized(t)
+                break
 
         return SimulationResult(
             clock=self.clock,
@@ -292,52 +284,51 @@ class Simulation:
             instants=self._log,
         )
 
-    # -- steady-state repeat -----------------------------------------------
+    # -- certified synchrony -----------------------------------------------
 
-    def _state_key(self, t: int) -> tuple:
-        """Everything a later instant can read, relative to tick t.
+    def _final_from(self) -> int:
+        """The first tick from which a joint reset to zero is final; past the horizon if none."""
+        n, never = self.topology.n, self.horizon + 1
+        legit_in, attack_in = [0] * n, [0] * n
+        for sender, out in enumerate(self.topology.adjacency):
+            counts = legit_in if self._states[sender] else attack_in
+            for r in out:
+                counts[r] += 1
+        attacks = [t for ticks in self.schedules.values() for t in ticks if t < never]
+        keeps = [(getattr(self.mechanisms[r], "keeps_joint_reset", None), r) for r in self.legit_ids]
+        # kept under attack from tick 0 on, or else with no attacker after the last pulse
+        for attackers, start in ((attack_in, 0), ([0] * n, max(attacks + [0]))):
+            if all(k and k(legit_in[r], attackers[r]) for k, r in keeps):
+                return start
+        return never
 
-        Per legitimate oscillator: its phase, the ages of its receive-log
-        entries younger than half a period, and its last-fire and
-        last-reset-to-zero ages; then every queue entry, superseded wraps
-        included, as (tick - t, prio, node).
+    def _fill_synchronized(self, t0: int) -> None:
+        """Fill the log to the horizon after a final joint reset at tick t0.
+
+        Every legitimate oscillator fires at t0 + kT, after the attacker pulses
+        of that tick, and resets to zero; between those ticks, each queued
+        attack pulse and superseded wrap is an instant with unchanged offsets.
         """
-        cutoff = t - self.clock.ticks_per_period // 2
-        oscillators = []
-        for st in self._legit_states:
-            log = st.receive_log
-            fired, zeroed = st.last_fire_tick, st.last_reset_to_zero_tick
-            oscillators.append((
-                st.offset + t,
-                tuple([t - x for x in log[bisect_right(log, cutoff):]]),
-                None if fired is None else t - fired,
-                None if zeroed is None else t - zeroed,
-            ))
-        return tuple(oscillators), tuple(sorted([(k - t, p, i) for k, p, i in self._queue]))
-
-    def _repeat(self, start: int, horizon: int) -> None:
-        """Fill the log to the horizon with shifted copies of the instants from ``start`` on.
-
-        The last instant has the state key of instant ``start - 1``, so the
-        run goes on as it did after that one, shifted by their tick difference.
-        """
-        log = self._log
-        cycle = log[start:]
-        shift = log[-1].tick - log[start - 1].tick
-        by = shift
-        while True:
-            for tick, offsets, events in cycle:
-                if tick + by > horizon:
-                    return
-                log.append(Instant(tick + by, tuple([o - by for o in offsets]), events))
-            by += shift
+        tpp, horizon, legit = self.clock.ticks_per_period, self.horizon, self.legit_ids
+        joint = [(FIRED, i) for i in legit] + [(RESET_TO_ZERO, i) for i in legit]
+        fired: dict = {t: [] for t in range(t0 + tpp, horizon + 1, tpp)}
+        for t, prio, node in sorted(self._queue):
+            if t <= horizon:
+                events = fired.setdefault(t, [])
+                if prio == _PRIO_ATTACK:
+                    events.append((FIRED, node))
+        for t in sorted(fired):
+            zeroed = t - (t - t0) % tpp  # the last joint reset, at or before t
+            attacks = fired[t]
+            events = attacks if zeroed < t else attacks + joint if attacks else joint
+            self._log.append(Instant(t, (-zeroed,) * len(legit), events))
 
     # -- instant resolution ------------------------------------------------
 
     def _resolve_instant(self, t: int) -> bool:
         """Drain every event scheduled at tick t, cascade to a fixpoint and log the instant.
 
-        Returns whether every legitimate oscillator was parked at the top in it.
+        Returns whether every legitimate oscillator reset to zero in it.
         """
         queue = self._queue
         states = self._states
@@ -422,4 +413,5 @@ class Simulation:
             heapq.heappush(queue, (tpp - st.offset, _PRIO_WRAP, i))
 
         self._log.append(Instant(t, tuple([st.offset for st in self._legit_states]), events))
-        return len(at_top) == len(self._legit_states)
+        return len(at_top) == len(self._legit_states) and all(
+            st.last_reset_to_zero_tick == t for st in self._legit_states)

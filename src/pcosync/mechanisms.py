@@ -136,6 +136,14 @@ class QuorumMechanism:
             return SHIFT_TO_2PI
         return IGNORE
 
+    def keeps_joint_reset(self, legit_in: int, attack_in: int) -> bool:
+        """Whether a receiver with these in-neighbour counts keeps a joint reset to zero.
+
+        (a) Its attackers' pulses in one epsilon window stay under the response quorum;
+        (b) its legitimate in-neighbours' joint fire exceeds ``reset_over`` (README).
+        """
+        return attack_in <= max(self.response_quorum, 0) and legit_in > self.reset_over
+
 
 # the parameters each kind takes besides "kind": (reader, check, rule); the
 # quorum_degree rules take none, their quorums come from each node's degree

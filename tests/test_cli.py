@@ -349,13 +349,13 @@ def test_run_files_are_dumps_of_the_derived_views(tmp_path, name, horizon):
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_long_run_files_are_dumps_of_the_derived_views(tmp_path, seed):
-    """The 200-period input of the benchmark's long_run: most instants are copies made by
-    the steady-state repeat, and seq runs past 10^4."""
+    """The 200-period input of the benchmark's long_run: most instants are filled in after
+    the certified joint reset, and seq runs past 10^4."""
     data = json.loads((CONFIG_DIR / "circle24_quorum_n_attacked.json").read_text())
     data.update(seed=seed, horizon_ticks=200 * data["clock"]["ticks_per_period"])
     artifacts = run_scenario(parse_scenario(data))
     events = [e for _, _, e in artifacts.result.instants if e]
-    assert len({id(e) for e in events}) < len(events) / 2  # copies share their events list
+    assert len({id(e) for e in events}) < len(events) / 2  # filled joint fires share one
     assert_run_files_are_dumps(artifacts, tmp_path)
 
 

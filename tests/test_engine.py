@@ -22,11 +22,12 @@ from pcosync.engine import (
 from pcosync.mechanisms import (
     IGNORE,
     KIND_QUORUM_N,
+    QuorumMechanism,
     build_mechanism,
     jump_to,
     receive_count,
 )
-from pcosync.scenario import build_simulation, parse_scenario
+from pcosync.scenario import build_simulation, parse_scenario, run_scenario
 from pcosync.topology import build_circle_deployment, from_adjacency
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -580,75 +581,155 @@ def test_unknown_reset_is_rejected(reset):
         sim.run()
 
 
-# -- steady-state repeat -----------------------------------------------------------
+# -- certified synchrony ------------------------------------------------------------
 
 
-def counting_instants(monkeypatch):
-    """Count the instants the engine resolves, in a one-item list."""
-    resolved = [0]
+def recording_instants(monkeypatch):
+    """Record each resolved instant as (tick, whether every oscillator reset to zero in it)."""
+    resolved = []
     resolve = Simulation._resolve_instant
 
-    def counting(self, t):
-        resolved[0] += 1
-        return resolve(self, t)
+    def recording(self, t):
+        joint = resolve(self, t)
+        resolved.append((t, joint))
+        return joint
 
-    monkeypatch.setattr(Simulation, "_resolve_instant", counting)
+    monkeypatch.setattr(Simulation, "_resolve_instant", recording)
     return resolved
 
 
-def run_with_and_without_repeat(monkeypatch, sim):
+def run_with_and_without_certificate(monkeypatch, sim):
     """(instants, resolved count) of a run, then of the same run simulated to the horizon."""
-    resolved = counting_instants(monkeypatch)
-    repeated = sim.run().instants, resolved[0]
-    resolved[0] = 0
-    monkeypatch.setattr(Simulation, "_state_key", lambda self, t: object())  # no key matches
-    return repeated, (sim.run().instants, resolved[0])
+    resolved = recording_instants(monkeypatch)
+    certified = sim.run().instants, len(resolved)
+    resolved.clear()
+    monkeypatch.delattr(QuorumMechanism, "keeps_joint_reset")  # no mechanism certifies
+    return certified, (sim.run().instants, len(resolved))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
-def test_long_run_repeat_equals_the_simulated_log(monkeypatch, seed):
+def test_long_run_certified_fill_equals_the_simulated_log(monkeypatch, seed):
     sim = shipped_sim("circle24_quorum_n_attacked.json", seed, horizon=200 * TPP)
-    (repeated, resolved), (simulated, resolved_all) = run_with_and_without_repeat(monkeypatch, sim)
-    assert repeated == simulated
-    assert resolved < 100 < 250 < resolved_all  # the repeat fired
+    (certified, resolved), (simulated, resolved_all) = run_with_and_without_certificate(
+        monkeypatch, sim)
+    assert certified == simulated
+    assert resolved < 100 < 250 < resolved_all  # the run stopped early
 
 
 @pytest.mark.parametrize("config_name", sorted(p.name for p in CONFIG_DIR.glob("circle24_*.json")))
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_repeat_equals_the_simulated_log_on_every_shipped_config(monkeypatch, config_name, seed):
+def test_certified_fill_equals_the_simulated_log_on_every_shipped_config(
+        monkeypatch, config_name, seed):
     sim = shipped_sim(config_name, seed, horizon=20 * TPP)
-    (repeated, _), (simulated, _) = run_with_and_without_repeat(monkeypatch, sim)
-    assert repeated == simulated
+    (certified, _), (simulated, _) = run_with_and_without_certificate(monkeypatch, sim)
+    assert certified == simulated
 
 
 @pytest.mark.parametrize("horizon", [12 * TPP - 1, 30 * TPP + HALF + 1])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_repeat_stops_at_a_horizon_inside_a_period(monkeypatch, horizon, seed):
+def test_certified_fill_stops_at_a_horizon_inside_a_period(monkeypatch, horizon, seed):
     sim = shipped_sim("circle24_quorum_n_attacked.json", seed, horizon=horizon)
-    (repeated, resolved), (simulated, resolved_all) = run_with_and_without_repeat(monkeypatch, sim)
-    assert repeated == simulated
+    (certified, resolved), (simulated, resolved_all) = run_with_and_without_certificate(
+        monkeypatch, sim)
+    assert certified == simulated
     assert resolved < resolved_all
 
 
-def test_repeat_keeps_a_superseded_wrap_out_of_the_cycle(monkeypatch):
+def test_certified_fill_logs_a_superseded_wrap_as_an_empty_instant(monkeypatch):
     # oscillator 3 shifts to the top at tick TPP, when the others first fire,
-    # so its wrap due at 1.4 periods is superseded: that instant of the first
-    # synchronized period logs no events and is not part of the cycle
-    sim = quorum_n_sim(from_adjacency([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]),
-                       {0: 0, 1: 0, 2: 0, 3: 600_000}, horizon=10 * TPP)
-    (repeated, resolved), (simulated, resolved_all) = run_with_and_without_repeat(monkeypatch, sim)
-    assert repeated == simulated
+    # so its wrap due at 1.4 periods is superseded: that instant logs no events,
+    # and it falls after the run stops at TPP, its third instant
+    sim = quorum_n_sim(K4, {0: 0, 1: 0, 2: 0, 3: 600_000}, horizon=10 * TPP)
+    (certified, resolved), (simulated, resolved_all) = run_with_and_without_certificate(
+        monkeypatch, sim)
+    assert certified == simulated
     assert [i.events for i in simulated if i.tick == TPP + 400_000] == [[]]
-    assert resolved < resolved_all
+    assert resolved == 3 < resolved_all
+
+
+def test_certified_fill_puts_an_attacker_pulse_first_at_a_joint_fire(monkeypatch):
+    # oscillators 0-2 reset to zero together at TPP, and the attacker 3 pulses
+    # every quarter period up to 6 TPP, so at the filled joint fires up to 5 TPP
+    # too, and once more at the horizon; with a response quorum of 1 its single
+    # pulses are ignored from then on
+    topo = from_adjacency([[1, 2], [0, 2], [0, 1], [0, 1, 2]])
+    horizon = 8 * TPP + HALF
+    sim = quorum_n_sim(topo, {0: 0, 1: 0, 2: 0}, horizon=horizon, degree_override=4,
+                       attacker_ids=(3,),
+                       schedules={3: tuple(range(0, 6 * TPP, TPP // 4)) + (horizon,)})
+    (certified, resolved), (simulated, _) = run_with_and_without_certificate(monkeypatch, sim)
+    assert certified == simulated
+    joint = [(FIRED, i) for i in range(3)] + [(RESET_TO_ZERO, i) for i in range(3)]
+    assert [i.events for i in certified if i.tick % TPP == 0 and i.tick > TPP] == (
+        [[(FIRED, 3)] + joint] * 4 + [joint] * 3)
+    assert certified[-1] == (horizon, (-8 * TPP,) * 3, [(FIRED, 3)])
+    assert resolved < len(certified)
+
+
+def dense_sim(mechanism, attackers, seed, periods=10, attacked=9):
+    """circle24 with random initial phases and, per attacker, a train with random gaps of
+    eps + 1 to 3 eps over the first ``attacked`` periods."""
+    rng = random.Random(seed)
+    schedules = {}
+    for a in attackers:
+        ticks = [rng.randrange(EPS)]
+        while ticks[-1] < attacked * TPP:
+            ticks.append(ticks[-1] + rng.randrange(EPS + 1, 3 * EPS + 1))
+        schedules[str(a)] = ticks[:-1]
+    config = parse_scenario({
+        "topology": {"kind": "circle", "n": 24, "diameter": 40, "range": 39},
+        "mechanism": mechanism,
+        "attackers": {"ids": list(attackers), "attack": {"kind": "scripted", "ticks": schedules}},
+        "horizon_ticks": periods * TPP,
+        "seed": seed,
+    })
+    return build_simulation(config)[0]
+
+
+QUORUM_N_24 = {"kind": "quorum_n", "n_known": 24}
+# (mechanism, attackers, periods, whether the first joint reset lasts)
+DENSE_TRAINS = {
+    "quorum_n-M3": (QUORUM_N_24, (1, 8, 20), 10, True),
+    "quorum_degree-M2": ({"kind": "quorum_degree"}, (1, 8), 10, True),
+    # over the bound: the receivers next to all four attackers have a response
+    # quorum of 3, and the attackers shift them all to the top within a period
+    "quorum_n-M4-over": (QUORUM_N_24, (1, 8, 14, 20), 12, False),
+}
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("case", DENSE_TRAINS)
+def test_certified_fill_equals_the_simulated_log_under_dense_trains(monkeypatch, case, seed):
+    mechanism, attackers, periods, lasts = DENSE_TRAINS[case]
+    sim = dense_sim(mechanism, attackers, seed, periods)
+    (certified, _), (simulated, _) = run_with_and_without_certificate(monkeypatch, sim)
+    assert certified == simulated
+    joint = [i.tick for i in simulated
+             if [kind for kind, _ in i.events].count(RESET_TO_ZERO) == len(sim.legit_ids)]
+    assert (joint[1] - joint[0] == TPP) == lasts
+
+
+def test_reset_quorum_met_only_with_an_attacker_pulse_is_no_certificate(monkeypatch):
+    # receiver 0 has 2 legitimate in-neighbours, exactly reset_over = 6 // 3; the
+    # attacker's one pulse makes the joint reset at TPP, and at 2 TPP, without it,
+    # receiver 0 counts 2 pulses and resets to pi
+    topo = from_adjacency([[1, 2, 3], [0, 2, 3], [0, 1, 3], [1, 2], [0, 1, 2, 3]])
+    sim = quorum_n_sim(topo, {i: 0 for i in range(4)}, horizon=4 * TPP, n_total=6,
+                       attacker_ids=(4,), schedules={4: (TPP,)})
+    (certified, resolved), (simulated, resolved_all) = run_with_and_without_certificate(
+        monkeypatch, sim)
+    assert certified == simulated
+    assert (RESET_TO_PI, 0) in simulated[1].events and simulated[1].tick == 2 * TPP
+    assert resolved == resolved_all
 
 
 def test_resolved_instants_do_not_grow_with_the_horizon(monkeypatch):
-    resolved = counting_instants(monkeypatch)
+    resolved = recording_instants(monkeypatch)
     counts = []
     for periods in (200, 1000):
-        resolved[0] = 0
+        resolved.clear()
         shipped_sim("circle24_quorum_n_attacked.json", 1, horizon=periods * TPP).run()
-        counts.append(resolved[0])
+        counts.append(len(resolved))
     assert counts[0] == counts[1] < 100
 
 
@@ -660,59 +741,73 @@ def test_run_resolves_the_same_instants_up_to_a_shorter_horizon():
     assert len(short.instants) < len(full.instants)
 
 
-def test_instants_keyed_only_after_the_attack_and_the_first_period(monkeypatch):
-    keyed = []
-    state_key = Simulation._state_key
-
-    def recording(self, t):
-        keyed.append(t)
-        return state_key(self, t)
-
-    monkeypatch.setattr(Simulation, "_state_key", recording)
-    sim = shipped_sim("circle24_quorum_n_attacked.json", 1, horizon=200 * TPP)
-    sim.run()
-    last_attack = max(t for ticks in sim.schedules.values() for t in ticks)
-    assert keyed and max(last_attack, TPP) <= min(keyed) and max(keyed) <= 198 * TPP
-    # a campaign run's horizon leaves less than two periods after its attack
-    keyed.clear()
-    shipped_sim("circle24_quorum_n_attacked.json", 1).run()
-    assert keyed == []
+def last_attack_tick(sim):
+    return max(t for ticks in sim.schedules.values() for t in ticks if t <= sim.horizon)
 
 
-def shift_engine_state(sim, k):
-    """Move every tick the engine state holds k ticks later."""
-    for st in sim._legit_states:
-        st.offset -= k
-        st.receive_log[:] = [x + k for x in st.receive_log]
-        if st.last_fire_tick is not None:
-            st.last_fire_tick += k
-        if st.last_reset_to_zero_tick is not None:
-            st.last_reset_to_zero_tick += k
-    sim._queue[:] = [(tick + k, prio, node) for tick, prio, node in sim._queue]
+@pytest.mark.parametrize("config_name", ["circle24_quorum_n_attacked.json",
+                                         "circle24_quorum_degree_attacked.json"])
+def test_in_bound_runs_stop_at_their_first_joint_reset(monkeypatch, config_name):
+    resolved = recording_instants(monkeypatch)
+    for seed in range(10):
+        resolved.clear()
+        sim = shipped_sim(config_name, seed)
+        result = sim.run()
+        first = next(t for t, joint in resolved if joint)
+        assert resolved[-1] == (first, True) and len(resolved) < len(result.instants)
+        assert first < last_attack_tick(sim)  # the stop does not wait for the attack to end
 
 
-def test_state_key_is_the_state_relative_to_the_tick():
-    sim = quorum_n_sim(from_adjacency([[1], [0]]), {0: 0, 1: HALF}, horizon=3 * TPP)
-    sim.run()
-    t = sim._log[-1].tick
-    st = sim._legit_states[0]
-    st.receive_log[:] = []
-    base = sim._state_key(t)
-    shift_engine_state(sim, 7 * TPP + 3)
-    assert sim._state_key(t + 7 * TPP + 3) == base != sim._state_key(t)
-    shift_engine_state(sim, -7 * TPP - 3)
-    # receive-log entries younger than half a period are keyed, older ones are not
-    for age, keyed in [(0, True), (EPS, True), (HALF - 1, True), (HALF, False), (TPP, False)]:
-        st.receive_log[:] = [t - age]
-        assert (sim._state_key(t) != base) == keyed, age
-    st.receive_log[:] = []
-    # a last fire and a last reset to zero are keyed by their ages, None by itself
-    for name in ("last_fire_tick", "last_reset_to_zero_tick"):
-        kept = getattr(st, name)
-        for value in {t, t - 3 * TPP, None} - {kept}:
-            setattr(st, name, value)
-            assert sim._state_key(t) != base, (name, value)
-        setattr(st, name, kept)
-    # a superseded wrap in the queue is keyed
-    sim._queue.append((t + 1, 1, 1))
-    assert sim._state_key(t) != base
+def test_over_bound_runs_stop_at_their_first_joint_reset_after_the_attack(monkeypatch):
+    resolved = recording_instants(monkeypatch)
+    earlier = 0
+    for seed in range(10):
+        resolved.clear()
+        sim = shipped_sim("circle24_quorum_degree_overbudget.json", seed)
+        sim.run()
+        last = last_attack_tick(sim)
+        stop = next(t for t, joint in resolved if joint and t >= last)
+        assert resolved[-1] == (stop, True)
+        earlier += any(joint for t, joint in resolved if t < last)
+    assert earlier  # a joint reset during the attack is not final
+
+
+def test_conventional_and_delegating_mechanisms_never_stop_early(monkeypatch):
+    resolved = recording_instants(monkeypatch)
+    result = shipped_sim("circle24_conventional_clean.json", 0).run()
+    assert len(resolved) == len(result.instants)
+    resolved.clear()
+    sim = shipped_sim("circle24_quorum_n_clean.json", 0)
+    counts = {"fires": Counter(), "on_reach_top": Counter()}
+    sim.mechanisms = {i: CountingMechanism(m, i, counts) for i, m in sim.mechanisms.items()}
+    result = sim.run()
+    assert any(joint for _, joint in resolved) and len(resolved) == len(result.instants)
+
+
+@pytest.mark.parametrize("config_name",
+                         sorted(p.name for p in CONFIG_DIR.glob("circle24_quorum*.json")))
+def test_the_summary_follows_from_the_certified_stop(monkeypatch, config_name):
+    # inside the paper's conditions a run stops at its first joint reset s, and the
+    # k = (H - s) // T whole periods after it give the summary; outside them it stops
+    # at its first joint reset after the attack, which sync_tick may precede
+    horizon = 7 * TPP + 123_457
+    data = json.loads((CONFIG_DIR / config_name).read_text())
+    resolved = recording_instants(monkeypatch)
+    synced_earlier = 0
+    for seed in range(10):
+        resolved.clear()
+        artifacts = run_scenario(parse_scenario({**data, "seed": seed, "horizon_ticks": horizon}))
+        summary = artifacts.summary
+        stop, joint = resolved[-1]
+        assert joint and len(resolved) < len(artifacts.result.instants)
+        conditions = summary["conditions"]
+        if conditions["degree_ok"] and conditions["attacker_bound_ok"]:
+            k = (horizon - stop) // TPP
+            assert stop == next(t for t, joint in resolved if joint) == summary["sync_tick"]
+            assert summary["final_arc_rad"] == 0.0
+            assert summary["collective_periods"] == [TPP] * (k - 1)
+            assert summary["periods_exact"] is (True if k >= 2 else None)
+        else:
+            assert summary["sync_tick"] <= stop
+            synced_earlier += summary["sync_tick"] < stop
+    assert synced_earlier or "overbudget" not in config_name

@@ -153,6 +153,12 @@ def test_pulse_shift_via_epsilon_window():
     assert mech.on_pulse(state, now).kind == "shift"
     state = make_state(int(0.6 * TPP), pulses=prior[:2] + [now], now=now)
     assert mech.on_pulse(state, now).kind == "ignore"
+    # the window is open on the left, as the reset window is; a recent reset to
+    # zero keeps the half-period rule from counting the pulse at now - EPS
+    for first, kind in [(now - EPS, "ignore"), (now - EPS + 1, "shift")]:
+        state = make_state(int(0.6 * TPP), pulses=[first] + prior[1:] + [now],
+                           last_zero=now - HALF, now=now)
+        assert mech.on_pulse(state, now).kind == kind
 
 
 def test_pulse_gate_lower_half_ignores():
@@ -295,6 +301,36 @@ def test_quorum_formulas_match_the_paper_away_from_n24():
             assert mech.response_quorum == math.floor(degree / 6) - 1
 
 
+def test_the_paper_conditions_imply_the_certificate():
+    # with d > degree_bound(N) and M <= max_allowed_attackers, a receiver of any own
+    # degree d_r in [d, N - 1] keeps a joint reset with d_r - M legitimate and M attacker
+    # in-neighbours: when validate says "conditions met", every run stops at its first
+    # joint reset
+    kept = 0
+    for n in range(2, 41):
+        for topo in circle_networks(n):
+            d = topo.network_degree
+            for kind in (KIND_QUORUM_N, KIND_QUORUM_DEGREE):
+                rep = check_sync_conditions(topo, kind, 0)
+                if not rep["degree_ok"]:
+                    continue
+                for m in range(rep["max_allowed_attackers"] + 1):
+                    for own in range(d, n):
+                        mech = build_mechanism({"kind": kind, "n_known": n}, CLOCK, own)
+                        assert mech.keeps_joint_reset(own - m, m), (kind, n, d, m, own)
+                        kept += 1
+    assert kept > 1000
+
+
+def test_certificate_conditions_at_their_edges():
+    mech = quorum_n_mech()  # reset_over 8, response_quorum 3
+    assert mech.keeps_joint_reset(9, 3) and mech.keeps_joint_reset(9, 0)
+    assert not mech.keeps_joint_reset(8, 0)  # (b): the joint fire must exceed reset_over
+    assert not mech.keeps_joint_reset(20, 4)  # (a): four pulses in a window shift
+    mech = quorum_degree_mech(5)  # reset_over 0, response_quorum -1
+    assert mech.keeps_joint_reset(1, 0) and not mech.keeps_joint_reset(1, 1)
+
+
 # -- decisions are time-invariant after the first period ------------------------
 
 
@@ -313,8 +349,8 @@ def random_decision_state(rng, now):
                          ids=["quorum_n", "quorum_degree", "conventional"])
 def test_decisions_are_unchanged_by_a_common_shift_of_every_tick(make_mech):
     # a decision reads now only through offset + now, through differences with
-    # the ticks the state holds and through now >= ticks_per_period, so the
-    # engine may repeat a steady state: shifting all of them by k changes nothing
+    # the ticks the state holds and through now >= ticks_per_period: shifting all
+    # of them by k changes nothing
     rng = random.Random(2024)
     mech = make_mech()
     decisions = set()
