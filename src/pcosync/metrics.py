@@ -3,7 +3,8 @@ collective period measurement and per-run summaries.
 
 Phase synchronization is an exact property here: phases are integer ticks
 and the containing arc is computed in ticks, so "arc == 0" is an integer
-comparison, never a tolerance test. Radians appear only in reports.
+comparison, never a tolerance test. Radians appear only in reports. The
+summary's verdict comes from one backward pass over the instant log.
 """
 
 from __future__ import annotations
@@ -33,60 +34,48 @@ def containing_arc(phases, clock: TickClock) -> float:
     return containing_arc_ticks(phases, clock.ticks_per_period) / clock.ticks_per_period * TWO_PI
 
 
-def _tally(events, legit_set) -> tuple[int, int]:
-    """(legitimate fires, resets to zero) among one instant's events."""
-    fires = resets = 0
-    for kind, node in events:
-        if kind == FIRED:
-            fires += node in legit_set
-        elif kind == RESET_TO_ZERO:
-            resets += 1
-    return fires, resets
+def _read_sync(result: SimulationResult) -> tuple[int | None, list[int]]:
+    """The sync tick and the joint-fire ticks after it, or every joint-fire tick without one.
 
-
-def detect_sync(result: SimulationResult) -> int | None:
-    """Earliest tick after which the legitimate population is exactly synchronized.
-
-    The tick must see every legitimate oscillator reset to zero together;
-    afterwards every snapshot must have a zero containing arc and every
-    legitimate firing must happen jointly, at instants spaced exactly one
-    period apart. A single-oscillator network is synchronized at its first
-    reset to zero by convention.
-
-    Each condition holding at a tick holds at every later one, so a backward
-    pass stops at the last nonzero arc, non-joint fire or off-period gap.
-    With two or more legitimate oscillators every joint-fire gap after the
-    returned tick is therefore exactly one period.
+    The sync tick is the earliest at which every legitimate oscillator resets
+    to zero together, such that every instant from it on leaves the offsets
+    equal (a zero arc) and every legitimate fire after it is joint and, with
+    two or more oscillators, one period after the one before: a lone one
+    syncs at its first reset to zero. What holds from a tick holds from every
+    later one, so the pass stops at the first failure, unless no sync tick is
+    known: then it walks on to collect every joint fire.
     """
     legit_set = set(result.legit_ids)
     n_legit = len(legit_set)
-
-    if n_legit == 1:
-        return next((e.tick for e in result.instants if _tally(e.events, legit_set)[1]), None)
-
     tpp = result.clock.ticks_per_period
-    sync = next_fire = None
-    for entry in reversed(result.instants):
-        offsets = entry.offsets
-        if min(offsets) != max(offsets):
+    sync = None
+    checking = True
+    joint = []  # joint-fire ticks, latest first
+    for tick, offsets, events in reversed(result.instants):
+        fires = resets = 0
+        for kind, node in events:
+            if kind == FIRED:
+                fires += node in legit_set
+            elif kind == RESET_TO_ZERO:
+                resets += 1
+        if checking:
+            checking = min(offsets) == max(offsets)
+            if checking and resets == n_legit:
+                sync = tick
+            if checking and fires:
+                gap_ok = n_legit == 1 or not joint or joint[-1] - tick == tpp
+                checking = fires == n_legit and gap_ok
+        if not checking and sync is not None:
             break
-        fires, resets = _tally(entry.events, legit_set)
-        if resets == n_legit:
-            sync = entry.tick
-        if fires:
-            if fires != n_legit or (next_fire is not None and next_fire - entry.tick != tpp):
-                break
-            next_fire = entry.tick
-    return sync
+        if fires == n_legit:
+            joint.append(tick)
+    joint.reverse()
+    return sync, joint if sync is None else [t for t in joint if t > sync]
 
 
-def common_fire_ticks(result: SimulationResult, after: int = -1) -> list[int]:
-    """Ticks strictly after `after` at which every legitimate oscillator fired."""
-    legit_set = set(result.legit_ids)
-    return [
-        e.tick for e in result.instants
-        if e.tick > after and _tally(e.events, legit_set)[0] == len(legit_set)
-    ]
+def detect_sync(result: SimulationResult) -> int | None:
+    """Earliest tick from which the legitimate oscillators stay exactly synchronized, or None."""
+    return _read_sync(result)[0]
 
 
 def _round9(x: float) -> float:
@@ -106,16 +95,14 @@ def summarize_run(
     """The summary of one run: the mapping ``summary.json`` holds, key for key.
 
     Floats are rounded to 9 significant digits; ``conditions`` is stored as
-    given. With two or more legitimate oscillators, ``periods_exact`` is
-    never false once ``sync_tick`` is set (see :func:`detect_sync`), so it is
-    no evidence beyond ``sync_tick``; the acceptance tests'
-    ``verify_run_artifacts`` is the independent check.
+    given. ``periods_exact`` is false only for a lone oscillator: with two or
+    more, the pass rejects any off-period gap after ``sync_tick``, so it is
+    no evidence beyond ``sync_tick``.
     """
     clock = result.clock
     tpp = clock.ticks_per_period
-    sync_tick = detect_sync(result)
     # joint-fire gaps after synchronization; without it, whatever joint rhythm exists
-    ticks = common_fire_ticks(result, -1 if sync_tick is None else sync_tick)
+    sync_tick, ticks = _read_sync(result)
     periods = [b - a for a, b in zip(ticks, ticks[1:])]
     periods_exact = all(g == tpp for g in periods) if sync_tick is not None and periods else None
     return {

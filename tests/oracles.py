@@ -2,14 +2,17 @@
 
 They restate a documented rule directly (a float response curve, a floor
 identity, a reachability search, an arc per snapshot, the channel's pulse
-separation, the run files as plain dumps of the derived views) and are not
-part of the package: nothing in ``src/`` needs them to run a scenario.
+separation, the run files as plain dumps of the derived views, the
+synchronization verdict from the records and snapshots) and are not part of
+the package: nothing in ``src/`` needs them to run a scenario.
 """
 
 import json
 import math
+from collections import defaultdict
 
 from pcosync.core import TWO_PI
+from pcosync.engine import FIRED, RESET_TO_ZERO
 from pcosync.metrics import containing_arc_ticks
 
 
@@ -71,6 +74,53 @@ def arc_trace(result) -> list:
     """(tick, arc ticks) per snapshot of a completed run."""
     tpp = result.clock.ticks_per_period
     return [(s.tick, containing_arc_ticks(s.phases, tpp)) for s in result.snapshots]
+
+
+def _legit_nodes_by_tick(result, kind) -> dict:
+    """{tick: legitimate nodes with a ``kind`` record at it}, from ``result.records``."""
+    legit = set(result.legit_ids)
+    nodes = defaultdict(set)
+    for r in result.records:
+        if r.kind == kind and r.node in legit:
+            nodes[r.tick].add(r.node)
+    return nodes
+
+
+def common_fire_ticks(result) -> list:
+    """Ticks, in order, at which every legitimate oscillator fired."""
+    legit = set(result.legit_ids)
+    return sorted(t for t, nodes in _legit_nodes_by_tick(result, FIRED).items() if nodes == legit)
+
+
+def sync_verdict(result) -> dict:
+    """``sync_tick``, ``collective_periods`` and ``periods_exact`` restated by definition.
+
+    The sync tick is the least tick s at which every legitimate oscillator
+    resets to zero, where every snapshot from s on has a zero arc, every
+    legitimate fire after s is joint and, with two or more oscillators, the
+    joint fires after s are exactly one period apart. The periods are the
+    gaps between the joint fires after s, or between every joint fire
+    without s; they are exact only if s exists, they exist and all are one
+    period.
+    """
+    legit = set(result.legit_ids)
+    tpp = result.clock.ticks_per_period
+    fired = _legit_nodes_by_tick(result, FIRED)
+    joint = common_fire_ticks(result)
+    arcs = arc_trace(result)
+
+    def holds(s):
+        after = [t for t in joint if t > s]
+        return (all(arc == 0 for t, arc in arcs if t >= s)
+                and all(nodes == legit for t, nodes in fired.items() if t > s)
+                and (len(legit) == 1 or all(b - a == tpp for a, b in zip(after, after[1:]))))
+
+    resets = _legit_nodes_by_tick(result, RESET_TO_ZERO)
+    sync = min((s for s, nodes in resets.items() if nodes == legit and holds(s)), default=None)
+    ticks = joint if sync is None else [t for t in joint if t > sync]
+    periods = [b - a for a, b in zip(ticks, ticks[1:])]
+    exact = all(g == tpp for g in periods) if sync is not None and periods else None
+    return {"sync_tick": sync, "collective_periods": periods, "periods_exact": exact}
 
 
 def run_file_texts(result) -> dict:

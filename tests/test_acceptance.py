@@ -11,7 +11,7 @@ from bisect import bisect_left
 from collections import Counter
 from random import Random
 
-from oracles import arc_trace, floor_split_holds
+from oracles import arc_trace, floor_split_holds, sync_verdict
 from pcosync.cli import main
 from pcosync.core import TickClock
 from pcosync.engine import (
@@ -22,7 +22,7 @@ from pcosync.engine import (
     Simulation,
 )
 from pcosync.mechanisms import KIND_QUORUM_N, build_mechanism
-from pcosync.metrics import common_fire_ticks, containing_arc_ticks, detect_sync
+from pcosync.metrics import containing_arc_ticks
 from pcosync.scenario import parse_scenario, parse_sweep, run_scenario, run_sweep
 from pcosync.topology import build_circle_deployment, from_adjacency
 
@@ -73,17 +73,17 @@ def campaign_sweep(mechanism, attackers, horizon, runs, seed_base, **kw):
 
 
 def verify_run_artifacts(data, expect_sync_by):
-    """Exact re-verification of one run straight from its event log/snapshots."""
+    """Exact re-verification of one run straight from its event log/snapshots.
+
+    The summary's verdict must equal the oracle's, restated from the records
+    and snapshots with no code shared with ``src``'s pass.
+    """
     art = run_scenario(parse_scenario(data))
-    result = art.result
-    sync = detect_sync(result)
+    verdict = sync_verdict(art.result)
+    assert {key: art.summary[key] for key in verdict} == verdict
+    sync = verdict["sync_tick"]
     assert sync is not None and sync <= expect_sync_by
-    for snap in result.snapshots:
-        if snap.tick >= sync:
-            assert containing_arc_ticks(snap.phases, TPP) == 0
-    fire_ticks = common_fire_ticks(result, after=sync)
-    assert len(fire_ticks) >= 2
-    assert all(b - a == TPP for a, b in zip(fire_ticks, fire_ticks[1:]))
+    assert verdict["collective_periods"] and verdict["periods_exact"] is True
     return art
 
 
