@@ -165,11 +165,11 @@ def _phase_lines(result):
         if new_rel != rel:
             rel, tails = new_rel, {}
             arc = _fmt9(containing_arc_ticks(rel, tpp) * scale)
-            distinct = tuple(set(rel))
-            slots = [distinct.index(r) for r in rel]
+            slot: dict = {}  # each distinct relative offset, in first-seen order
+            slots = [slot.setdefault(r, len(slot)) for r in rel]
 
             def tail(phase):  # r + phase is o + t: each cell is printed from a phase in ticks
-                cells = [f"{(r + phase) * scale:.9g}" for r in distinct]
+                cells = [f"{(r + phase) * scale:.9g}" for r in slot]
                 text = tails[phase] = f"{arc},{','.join([cells[s] for s in slots])}\n"
                 return text
 

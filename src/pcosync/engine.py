@@ -41,10 +41,12 @@ the state by the same amount changes no decision.
 A mechanism may also certify synchrony: ``keeps_joint_reset(legit_in,
 attack_in)`` says whether a receiver with these in-neighbour counts keeps a
 joint reset (every legitimate oscillator resets to zero at one instant).
-``run`` finds the tick from which one is final (``_final_from``) and, at the
-first joint reset from then on, fills the log to the horizon in closed form
-(``_fill_synchronized``). Unless every mechanism has that method, a run is
-simulated to the horizon.
+``run`` finds the tick from which one is final (``_final_from``) and returns
+at the first joint reset from then on, with the final offsets in closed form;
+the result appends the rest of the log in closed form the first time its
+``instants`` is read (``SimulationResult._tail``), and the verdict is read
+without it. Unless every mechanism has that method, a run is simulated to
+the horizon.
 
 Every pulse to a legitimate oscillator takes one path: it is queued, and
 when delivered it is added to the receiver's log, which is then pruned to
@@ -124,22 +126,52 @@ class OscillatorState:
     last_reset_to_zero_tick: int | None = None
 
 
-@dataclass
 class SimulationResult:
     """A completed run, kept as its instant log: one :class:`Instant` per
     resolved tick, holding the oscillators' offsets after it; a pop that
     found only superseded wraps logs the previous offsets and no events.
-    ``records`` and ``snapshots`` are derived from it on every access.
+
+    A run that stopped at a final joint reset holds its tick, ``stop``, and its
+    queue then; ``resolved`` ends at ``stop``, and ``instants`` appends the
+    closed-form tail to the horizon when first read. The verdict is read from
+    ``resolved``, ``stop`` and ``final_offsets`` alone. ``records`` and
+    ``snapshots`` are derived from ``instants`` on every access.
     """
 
-    clock: TickClock
-    legit_ids: tuple[int, ...]
-    attacker_ids: tuple[int, ...]
-    adjacency: tuple[tuple[int, ...], ...]
-    horizon: int
-    initial_offsets: tuple[int, ...]
-    final_offsets: tuple[int, ...]
-    instants: list
+    def __init__(self, clock: TickClock, legit_ids, attacker_ids, adjacency, horizon: int,
+                 initial_offsets, final_offsets, instants: list, stop=None, queued=()):
+        self.clock, self.legit_ids, self.attacker_ids = clock, legit_ids, attacker_ids
+        self.adjacency, self.horizon = adjacency, horizon
+        self.initial_offsets, self.final_offsets = initial_offsets, final_offsets
+        self.resolved, self.stop, self._queued = instants, stop, queued
+        self._instants = instants if stop is None else None
+
+    @property
+    def instants(self) -> list:
+        if self._instants is None:
+            self._instants = [*self.resolved, *self._tail()]
+        return self._instants
+
+    def _tail(self):
+        """The instants after the final joint reset at ``stop``, to the horizon.
+
+        Every legitimate oscillator fires at stop + kT, after the attacker pulses
+        of that tick, and resets to zero; between those ticks, each queued
+        attack pulse and superseded wrap is an instant with unchanged offsets.
+        """
+        t0, tpp, horizon, legit = self.stop, self.clock.ticks_per_period, self.horizon, self.legit_ids
+        joint = [(FIRED, i) for i in legit] + [(RESET_TO_ZERO, i) for i in legit]
+        fired: dict = {t: [] for t in range(t0 + tpp, horizon + 1, tpp)}
+        for t, prio, node in sorted(self._queued):
+            if t <= horizon:
+                events = fired.setdefault(t, [])
+                if prio == _PRIO_ATTACK:
+                    events.append((FIRED, node))
+        for t in sorted(fired):
+            zeroed = t - (t - t0) % tpp  # the last joint reset, at or before t
+            attacks = fired[t]
+            events = attacks if zeroed < t else attacks + joint if attacks else joint
+            yield Instant(t, (-zeroed,) * len(legit), events)
 
     def iter_records(self):
         """Log records in order; each ``fired`` is followed by one ``received`` per out-neighbor."""
@@ -267,11 +299,15 @@ class Simulation:
 
         horizon = self.horizon
         final_from = self._final_from()
+        stop = None
         while queue and queue[0][0] <= horizon:
             t = queue[0][0]
             if self._resolve_instant(t) and t >= final_from:
-                self._fill_synchronized(t)
+                stop = t
                 break
+        final = self._log[-1].offsets if self._log else initial
+        if stop is not None:  # offsets after the last joint reset at or before the horizon
+            final = (-(horizon - (horizon - stop) % tpp),) * len(final)
 
         return SimulationResult(
             clock=self.clock,
@@ -280,8 +316,10 @@ class Simulation:
             adjacency=self.topology.adjacency,
             horizon=horizon,
             initial_offsets=initial,
-            final_offsets=self._log[-1].offsets if self._log else initial,
+            final_offsets=final,
             instants=self._log,
+            stop=stop,
+            queued=queue,
         )
 
     # -- certified synchrony -----------------------------------------------
@@ -289,11 +327,11 @@ class Simulation:
     def _final_from(self) -> int:
         """The first tick from which a joint reset to zero is final; past the horizon if none."""
         n, never = self.topology.n, self.horizon + 1
-        legit_in, attack_in = [0] * n, [0] * n
-        for sender, out in enumerate(self.topology.adjacency):
-            counts = legit_in if self._states[sender] else attack_in
-            for r in out:
-                counts[r] += 1
+        attack_in = [0] * n
+        for a in self.attacker_ids:
+            for r in self.topology.adjacency[a]:
+                attack_in[r] += 1
+        legit_in = [d - m for d, m in zip(self.topology.indegree, attack_in)]
         attacks = [t for ticks in self.schedules.values() for t in ticks if t < never]
         keeps = [(getattr(self.mechanisms[r], "keeps_joint_reset", None), r) for r in self.legit_ids]
         # kept under attack from tick 0 on, or else with no attacker after the last pulse
@@ -301,27 +339,6 @@ class Simulation:
             if all(k and k(legit_in[r], attackers[r]) for k, r in keeps):
                 return start
         return never
-
-    def _fill_synchronized(self, t0: int) -> None:
-        """Fill the log to the horizon after a final joint reset at tick t0.
-
-        Every legitimate oscillator fires at t0 + kT, after the attacker pulses
-        of that tick, and resets to zero; between those ticks, each queued
-        attack pulse and superseded wrap is an instant with unchanged offsets.
-        """
-        tpp, horizon, legit = self.clock.ticks_per_period, self.horizon, self.legit_ids
-        joint = [(FIRED, i) for i in legit] + [(RESET_TO_ZERO, i) for i in legit]
-        fired: dict = {t: [] for t in range(t0 + tpp, horizon + 1, tpp)}
-        for t, prio, node in sorted(self._queue):
-            if t <= horizon:
-                events = fired.setdefault(t, [])
-                if prio == _PRIO_ATTACK:
-                    events.append((FIRED, node))
-        for t in sorted(fired):
-            zeroed = t - (t - t0) % tpp  # the last joint reset, at or before t
-            attacks = fired[t]
-            events = attacks if zeroed < t else attacks + joint if attacks else joint
-            self._log.append(Instant(t, (-zeroed,) * len(legit), events))
 
     # -- instant resolution ------------------------------------------------
 

@@ -44,14 +44,18 @@ def _read_sync(result: SimulationResult) -> tuple[int | None, list[int]]:
     syncs at its first reset to zero. What holds from a tick holds from every
     later one, so the pass stops at the first failure, unless no sync tick is
     known: then it walks on to collect every joint fire.
+    A run that stopped at a final joint reset is read back from the stop: the
+    tail after it keeps the offsets equal, with a joint fire every period.
     """
     legit_set = set(result.legit_ids)
     n_legit = len(legit_set)
     tpp = result.clock.ticks_per_period
     sync = None
     checking = True
-    joint = []  # joint-fire ticks, latest first
-    for tick, offsets, events in reversed(result.instants):
+    stop, horizon = result.stop, result.horizon
+    # joint-fire ticks, latest first, from those of a stopped run's tail
+    joint = [] if stop is None else list(range(horizon - (horizon - stop) % tpp, stop, -tpp))
+    for tick, offsets, events in reversed(result.resolved):
         fires = resets = 0
         for kind, node in events:
             if kind == FIRED:
@@ -59,7 +63,7 @@ def _read_sync(result: SimulationResult) -> tuple[int | None, list[int]]:
             elif kind == RESET_TO_ZERO:
                 resets += 1
         if checking:
-            checking = min(offsets) == max(offsets)
+            checking = offsets.count(offsets[0]) == len(offsets)
             if checking and resets == n_legit:
                 sync = tick
             if checking and fires:

@@ -175,10 +175,10 @@ def build_simulation(config: ScenarioConfig):
     topo = config.topology
     attacker_set = set(config.attacker_ids)
     legit_ids = [i for i in range(topo.n) if i not in attacker_set]
-    mechs = {
-        i: mechanisms.build_mechanism(config.mechanism_desc, config.clock, topo.degree[i])
-        for i in legit_ids
-    }
+    # a mechanism holds no run state (engine), so the nodes of one degree share one
+    by_degree = {d: mechanisms.build_mechanism(config.mechanism_desc, config.clock, d)
+                 for d in {topo.degree[i] for i in legit_ids}}
+    mechs = {i: by_degree[topo.degree[i]] for i in legit_ids}
     phases = draw_initial_phases(config, legit_ids)
     schedules = []
     if config.attack_desc is not None:

@@ -18,6 +18,7 @@ from pcosync.engine import (
     EngineError,
     OscillatorState,
     Simulation,
+    SimulationResult,
 )
 from pcosync.mechanisms import (
     IGNORE,
@@ -27,7 +28,8 @@ from pcosync.mechanisms import (
     jump_to,
     receive_count,
 )
-from pcosync.scenario import build_simulation, parse_scenario, run_scenario
+from pcosync.metrics import summarize_run
+from pcosync.scenario import build_simulation, parse_scenario, parse_sweep, run_scenario, run_sweep
 from pcosync.topology import build_circle_deployment, from_adjacency
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -598,13 +600,33 @@ def recording_instants(monkeypatch):
     return resolved
 
 
+def summary_of(result):
+    return summarize_run(result, seed=0, config_digest="", mechanism="", conditions=None,
+                         schedules_jsonable={})
+
+
+def no_tail(result):
+    raise AssertionError("the closed-form tail was built")
+
+
 def run_with_and_without_certificate(monkeypatch, sim):
-    """(instants, resolved count) of a run, then of the same run simulated to the horizon."""
+    """(instants, resolved count) of a run, then of the same run simulated to the horizon.
+
+    The certified run's summary is read before its tail exists, and must equal the
+    simulated run's; its final offsets must be the simulated log's last offsets.
+    """
     resolved = recording_instants(monkeypatch)
-    certified = sim.run().instants, len(resolved)
+    result = sim.run()
+    with monkeypatch.context() as m:
+        m.setattr(SimulationResult, "_tail", no_tail)
+        summary = summary_of(result)
+    certified = result.instants, len(resolved)
     resolved.clear()
     monkeypatch.delattr(QuorumMechanism, "keeps_joint_reset")  # no mechanism certifies
-    return certified, (sim.run().instants, len(resolved))
+    simulated = sim.run()
+    assert summary == summary_of(simulated)
+    assert result.final_offsets == simulated.instants[-1].offsets
+    return certified, (simulated.instants, len(resolved))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
@@ -811,3 +833,66 @@ def test_the_summary_follows_from_the_certified_stop(monkeypatch, config_name):
             assert summary["sync_tick"] <= stop
             synced_earlier += summary["sync_tick"] < stop
     assert synced_earlier or "overbudget" not in config_name
+
+
+SWEEP = json.loads((CONFIG_DIR / "sweep_quorum_n_attacked.json").read_text())
+
+
+def campaign_sim(seed, horizon=None):
+    """One run of the campaign's base scenario."""
+    data = {**SWEEP["base"], "seed": seed}
+    if horizon is not None:
+        data["horizon_ticks"] = horizon
+    return build_simulation(parse_scenario(data))[0]
+
+
+def test_certified_summary_equals_the_simulated_one_on_the_campaign_base(monkeypatch):
+    for seed in range(1, 51):
+        with monkeypatch.context() as m:
+            (certified, resolved), (simulated, _) = run_with_and_without_certificate(
+                m, campaign_sim(seed))
+        assert certified == simulated and resolved < len(certified), seed
+
+
+@pytest.mark.parametrize("config_name",
+                         sorted(p.name for p in CONFIG_DIR.glob("circle24_quorum*.json")))
+def test_certified_summary_equals_the_simulated_one_on_shipped_quorum_configs(
+        monkeypatch, config_name):
+    for seed in range(10):
+        with monkeypatch.context() as m:
+            (certified, _), (simulated, _) = run_with_and_without_certificate(
+                m, shipped_sim(config_name, seed))
+        assert certified == simulated, seed
+
+
+@pytest.mark.parametrize("after", [0, TPP - 1])
+def test_certified_summary_at_a_horizon_before_the_next_joint_fire(monkeypatch, after):
+    # the horizon falls at the stop, where the tail is empty, or one tick before the
+    # next joint fire, where the tail holds attacker pulses alone
+    for seed in range(1, 11):
+        stop = campaign_sim(seed).run().stop
+        with monkeypatch.context() as m:
+            (certified, resolved), (simulated, _) = run_with_and_without_certificate(
+                m, campaign_sim(seed, horizon=stop + after))
+        assert certified == simulated and certified[resolved - 1].tick == stop, seed
+        tail = certified[resolved:]
+        assert {node for i in tail for _, node in i.events} <= set(SWEEP["base"]["attackers"]["ids"])
+        if not after:
+            assert tail == []
+
+
+def test_a_sweep_never_builds_the_closed_form_tail(monkeypatch):
+    monkeypatch.setattr(SimulationResult, "_tail", no_tail)
+    aggregate, _ = run_sweep(parse_sweep({**SWEEP, "runs": 5}))
+    assert aggregate["synced_runs"] == 5
+
+
+def test_reading_instants_twice_builds_the_tail_once(monkeypatch):
+    built = []
+    tail = SimulationResult._tail
+    monkeypatch.setattr(SimulationResult, "_tail", lambda self: built.append(1) or tail(self))
+    result = campaign_sim(1).run()
+    assert built == [] and result.stop is not None
+    first, second = list(result.instants), result.instants
+    assert built == [1] and first == second
+    assert len(first) > len(result.resolved) and first[:len(result.resolved)] == result.resolved

@@ -154,9 +154,10 @@ def test_single_oscillator_sync_convention():
     assert verdict_of(summary_of(result)) == expected == sync_verdict(result)
 
 
-def hand_built(n, instants, horizon, ticks_per_period=100):
+def hand_built(n, instants, horizon, ticks_per_period=100, stop=None, queued=()):
     """A completed run of ``n`` legitimate oscillators and one attacker, ``n``, on a
-    complete graph; ``instants`` holds (tick, offsets after it, (kind, node) events)."""
+    complete graph; ``instants`` holds (tick, offsets after it, (kind, node) events).
+    With ``stop``, it is a run stopped there, with ``queued`` left in its queue."""
     nodes = n + 1
     initial = instants[0][1] if instants else (0,) * n
     return SimulationResult(
@@ -164,7 +165,8 @@ def hand_built(n, instants, horizon, ticks_per_period=100):
         adjacency=tuple(tuple(j for j in range(nodes) if j != i) for i in range(nodes)),
         horizon=horizon, initial_offsets=initial,
         final_offsets=instants[-1][1] if instants else initial,
-        instants=[Instant(t, offsets, tuple(events)) for t, offsets, events in instants])
+        instants=[Instant(t, offsets, tuple(events)) for t, offsets, events in instants],
+        stop=stop, queued=queued)
 
 
 def wrap(t, n=2):
@@ -237,6 +239,37 @@ def test_summary_verdict_is_the_oracle_on_random_logs():
     # with fewer than two joint fires after, and not synced with and without a gap
     assert seen >= {(False, True, True), (False, False, True), (False, None, False),
                     (True, None, True), (True, None, False)}
+
+
+def certified_random_log(rng):
+    """A random hand-built run stopped at a joint reset to zero, with some fires at that
+    tick or none, and attacker pulses and superseded wraps left in its queue."""
+    while True:
+        result = random_log(rng)
+        if result.resolved:
+            break
+    n, tpp = len(result.legit_ids), result.clock.ticks_per_period
+    k = rng.randrange(len(result.resolved))
+    t = result.resolved[k].tick
+    fired = [(FIRED, i) for i in range(n) if rng.random() < 0.5] if rng.random() < 0.5 else []
+    instants = result.resolved[:k] + [(t, (-t,) * n, fired + [(RESET_TO_ZERO, i) for i in range(n)])]
+    horizon = t + rng.randrange(4 * tpp)
+    queued = [(a, 0, n) for a in rng.sample(range(t + 1, horizon + tpp), rng.randrange(4))]
+    queued += [(w, 1, rng.randrange(n)) for w in rng.sample(range(t + 1, horizon + tpp), 2)]
+    return hand_built(n, instants, horizon, tpp, stop=t, queued=queued)
+
+
+def test_summary_verdict_of_a_stopped_run_is_the_oracle_on_its_filled_log():
+    # the pass reads a stopped run's resolved instants alone; the oracle reads the log
+    # with the closed-form tail, whatever fires the stop tick holds
+    rng = Random(33)
+    earlier = 0
+    for _ in range(600):
+        result = certified_random_log(rng)
+        verdict = verdict_of(summary_of(result))
+        assert verdict == sync_verdict(result)
+        earlier += verdict["sync_tick"] < result.stop
+    assert earlier  # a sync tick before the stop
 
 
 def test_summary_shape():
