@@ -42,11 +42,11 @@ A mechanism may also certify synchrony: ``keeps_joint_reset(legit_in,
 attack_in)`` says whether a receiver with these in-neighbour counts keeps a
 joint reset (every legitimate oscillator resets to zero at one instant).
 ``run`` finds the tick from which one is final (``_final_from``) and returns
-at the first joint reset from then on, with the final offsets in closed form;
-the result appends the rest of the log in closed form the first time its
-``instants`` is read (``SimulationResult._tail``), and the verdict is read
-without it. Unless every mechanism has that method, a run is simulated to
-the horizon.
+at the first joint reset from then on, ``stop``. The result derives in closed
+form what the stop implies: the joint fires after it, the final offsets, and
+the rest of the log, appended the first time its ``instants`` is read; the
+verdict is read without that rest. Unless every mechanism has that method,
+a run is simulated to the horizon.
 
 Every pulse to a legitimate oscillator takes one path: it is queued, and
 when delivered it is added to the receiver's log, which is then pruned to
@@ -132,19 +132,31 @@ class SimulationResult:
     found only superseded wraps logs the previous offsets and no events.
 
     A run that stopped at a final joint reset holds its tick, ``stop``, and its
-    queue then; ``resolved`` ends at ``stop``, and ``instants`` appends the
-    closed-form tail to the horizon when first read. The verdict is read from
-    ``resolved``, ``stop`` and ``final_offsets`` alone. ``records`` and
+    queue then; ``resolved`` ends at ``stop``. The result derives what the stop
+    implies (``joint_ticks``, ``final_offsets`` and the tail that ``instants``
+    appends when first read), so the verdict needs no tail. ``records`` and
     ``snapshots`` are derived from ``instants`` on every access.
     """
 
     def __init__(self, clock: TickClock, legit_ids, attacker_ids, adjacency, horizon: int,
-                 initial_offsets, final_offsets, instants: list, stop=None, queued=()):
+                 initial_offsets, instants: list, stop=None, queued=()):
         self.clock, self.legit_ids, self.attacker_ids = clock, legit_ids, attacker_ids
-        self.adjacency, self.horizon = adjacency, horizon
-        self.initial_offsets, self.final_offsets = initial_offsets, final_offsets
+        self.adjacency, self.horizon, self.initial_offsets = adjacency, horizon, initial_offsets
         self.resolved, self.stop, self._queued = instants, stop, queued
         self._instants = instants if stop is None else None
+
+    @property
+    def joint_ticks(self) -> range:
+        """The ticks of the joint fires after ``stop``: stop + kT <= horizon, k >= 1."""
+        tpp = self.clock.ticks_per_period
+        return range(0) if self.stop is None else range(self.stop + tpp, self.horizon + 1, tpp)
+
+    @property
+    def final_offsets(self) -> tuple:
+        """The offsets at the horizon: from the last joint reset if stopped, else the log's."""
+        if self.stop is None:
+            return self.resolved[-1].offsets if self.resolved else self.initial_offsets
+        return (-(self.joint_ticks or [self.stop])[-1],) * len(self.legit_ids)
 
     @property
     def instants(self) -> list:
@@ -153,24 +165,22 @@ class SimulationResult:
         return self._instants
 
     def _tail(self):
-        """The instants after the final joint reset at ``stop``, to the horizon.
-
-        Every legitimate oscillator fires at stop + kT, after the attacker pulses
-        of that tick, and resets to zero; between those ticks, each queued
-        attack pulse and superseded wrap is an instant with unchanged offsets.
-        """
-        t0, tpp, horizon, legit = self.stop, self.clock.ticks_per_period, self.horizon, self.legit_ids
+        """The instants after the final joint reset at ``stop``, to the horizon: at each of
+        ``joint_ticks``, the attacker pulses of that tick, then every legitimate oscillator
+        fires and resets to zero; between those, each queued attack pulse and superseded
+        wrap is an instant with unchanged offsets."""
+        zeroed, ticks, legit = self.stop, self.joint_ticks, self.legit_ids
         joint = [(FIRED, i) for i in legit] + [(RESET_TO_ZERO, i) for i in legit]
-        fired: dict = {t: [] for t in range(t0 + tpp, horizon + 1, tpp)}
+        fired: dict = {t: [] for t in ticks}
         for t, prio, node in sorted(self._queued):
-            if t <= horizon:
+            if t <= self.horizon:
                 events = fired.setdefault(t, [])
                 if prio == _PRIO_ATTACK:
                     events.append((FIRED, node))
         for t in sorted(fired):
-            zeroed = t - (t - t0) % tpp  # the last joint reset, at or before t
-            attacks = fired[t]
-            events = attacks if zeroed < t else attacks + joint if attacks else joint
+            events = fired[t]
+            if t in ticks:  # the last joint reset moves to t
+                zeroed, events = t, events + joint if events else joint
             yield Instant(t, (-zeroed,) * len(legit), events)
 
     def iter_records(self):
@@ -288,7 +298,6 @@ class Simulation:
             queue.extend((t, _PRIO_ATTACK, a) for t in ticks if t <= self.horizon)
         heapq.heapify(queue)
 
-        initial = tuple(self.initial_phases[i] for i in self.legit_ids)
         self._states = states
         self._mechanisms = mechanisms
         # each sender's legitimate out-neighbours: attackers ignore pulses
@@ -305,22 +314,12 @@ class Simulation:
             if self._resolve_instant(t) and t >= final_from:
                 stop = t
                 break
-        final = self._log[-1].offsets if self._log else initial
-        if stop is not None:  # offsets after the last joint reset at or before the horizon
-            final = (-(horizon - (horizon - stop) % tpp),) * len(final)
 
         return SimulationResult(
-            clock=self.clock,
-            legit_ids=self.legit_ids,
-            attacker_ids=self.attacker_ids,
-            adjacency=self.topology.adjacency,
-            horizon=horizon,
-            initial_offsets=initial,
-            final_offsets=final,
-            instants=self._log,
-            stop=stop,
-            queued=queue,
-        )
+            clock=self.clock, legit_ids=self.legit_ids, attacker_ids=self.attacker_ids,
+            adjacency=self.topology.adjacency, horizon=horizon,
+            initial_offsets=tuple(self.initial_phases[i] for i in self.legit_ids),
+            instants=self._log, stop=stop, queued=queue)
 
     # -- certified synchrony -----------------------------------------------
 

@@ -45,16 +45,15 @@ def _read_sync(result: SimulationResult) -> tuple[int | None, list[int]]:
     later one, so the pass stops at the first failure, unless no sync tick is
     known: then it walks on to collect every joint fire.
     A run that stopped at a final joint reset is read back from the stop: the
-    tail after it keeps the offsets equal, with a joint fire every period.
+    tail after it keeps the offsets equal, and its joint fires are the result's
+    ``joint_ticks``.
     """
     legit_set = set(result.legit_ids)
     n_legit = len(legit_set)
     tpp = result.clock.ticks_per_period
     sync = None
     checking = True
-    stop, horizon = result.stop, result.horizon
-    # joint-fire ticks, latest first, from those of a stopped run's tail
-    joint = [] if stop is None else list(range(horizon - (horizon - stop) % tpp, stop, -tpp))
+    joint = list(reversed(result.joint_ticks))  # joint-fire ticks, latest first
     for tick, offsets, events in reversed(result.resolved):
         fires = resets = 0
         for kind, node in events:

@@ -370,7 +370,7 @@ def hand_built_run(initial, instants, horizon, ticks_per_period=1_000):
     result = SimulationResult(
         clock=TickClock(ticks_per_period, 10), legit_ids=tuple(range(n)), attacker_ids=(),
         adjacency=tuple(tuple(j for j in range(n) if j != i) for i in range(n)),
-        horizon=horizon, initial_offsets=initial, final_offsets=instants[-1][1],
+        horizon=horizon, initial_offsets=initial,
         instants=[Instant(t, offsets, tuple((FIRED, i) for i in (fired[0] if fired else (0,))))
                   for t, offsets, *fired in instants])
     return SimpleNamespace(result=result, summary={})

@@ -154,17 +154,18 @@ def test_single_oscillator_sync_convention():
     assert verdict_of(summary_of(result)) == expected == sync_verdict(result)
 
 
-def hand_built(n, instants, horizon, ticks_per_period=100, stop=None, queued=()):
+def hand_built(n, instants, horizon, ticks_per_period=100, stop=None, queued=(), initial=None):
     """A completed run of ``n`` legitimate oscillators and one attacker, ``n``, on a
     complete graph; ``instants`` holds (tick, offsets after it, (kind, node) events).
-    With ``stop``, it is a run stopped there, with ``queued`` left in its queue."""
+    With ``stop``, it is a run stopped there, with ``queued`` left in its queue.
+    Unless given, the initial offsets are those after the first instant, or zeros."""
     nodes = n + 1
-    initial = instants[0][1] if instants else (0,) * n
+    if initial is None:
+        initial = instants[0][1] if instants else (0,) * n
     return SimulationResult(
         clock=TickClock(ticks_per_period, 1), legit_ids=tuple(range(n)), attacker_ids=(n,),
         adjacency=tuple(tuple(j for j in range(nodes) if j != i) for i in range(nodes)),
         horizon=horizon, initial_offsets=initial,
-        final_offsets=instants[-1][1] if instants else initial,
         instants=[Instant(t, offsets, tuple(events)) for t, offsets, events in instants],
         stop=stop, queued=queued)
 
@@ -172,6 +173,27 @@ def hand_built(n, instants, horizon, ticks_per_period=100, stop=None, queued=())
 def wrap(t, n=2):
     """Every oscillator fires and resets to zero at ``t``."""
     return (t, (-t,) * n, [(FIRED, i) for i in range(n)] + [(RESET_TO_ZERO, i) for i in range(n)])
+
+
+@pytest.mark.parametrize("horizon, joint, final", [
+    (300, [], -300),                # the horizon at the stop: no joint fire after it
+    (600, [400, 500, 600], -600),   # stop + 3T: the last joint fire is at the horizon
+    (599, [400, 500], -500),        # one tick before it
+])
+def test_a_stopped_result_derives_its_joint_fires_and_final_offsets(horizon, joint, final):
+    # stopped at the joint reset at 300, with an attacker pulse and a superseded wrap
+    # left in the queue; the offsets at the horizon are those after the last joint reset
+    result = hand_built(2, [(250, (-200, -190), []), wrap(300)], horizon, stop=300,
+                        queued=[(350, 0, 2), (420, 1, 0)])
+    assert list(result.joint_ticks) == joint
+    assert result.final_offsets == (final, final) == result.instants[-1].offsets
+
+
+def test_an_unstopped_result_ends_at_its_last_offsets():
+    result = hand_built(2, [(250, (-200, -190), []), (270, (-230, -190), [(FIRED, 2)])], 300)
+    assert list(result.joint_ticks) == [] and result.final_offsets == (-230, -190)
+    # no instant resolved before the horizon: the initial offsets
+    assert hand_built(2, [], 300, initial=(40, 55)).final_offsets == (40, 55)
 
 
 def test_split_offsets_after_a_joint_reset_undo_it():
